@@ -376,45 +376,7 @@ mod tests {
     use parking_lot::Mutex;
     use std::collections::BTreeMap;
 
-    struct MapEngine(Mutex<BTreeMap<Key, Value>>);
-
-    impl MapEngine {
-        fn shared() -> Arc<dyn KvEngine> {
-            Arc::new(Self(Mutex::new(BTreeMap::new())))
-        }
-    }
-
-    impl KvEngine for MapEngine {
-        fn get(&self, key: &Key) -> Result<Option<Value>> {
-            Ok(self.0.lock().get(key).cloned())
-        }
-        fn put(&self, key: Key, value: Value) -> Result<()> {
-            self.0.lock().insert(key, value);
-            Ok(())
-        }
-        fn delete(&self, key: &Key) -> Result<()> {
-            self.0.lock().remove(key);
-            Ok(())
-        }
-        fn scan(&self, start: &Key, end: Option<&Key>, limit: usize) -> Result<Vec<(Key, Value)>> {
-            Ok(self
-                .0
-                .lock()
-                .range::<Key, _>((
-                    std::ops::Bound::Included(start),
-                    end.map_or(std::ops::Bound::Unbounded, std::ops::Bound::Excluded),
-                ))
-                .take(limit)
-                .map(|(k, v)| (k.clone(), v.clone()))
-                .collect())
-        }
-        fn resident_bytes(&self) -> u64 {
-            0
-        }
-        fn label(&self) -> String {
-            "map".into()
-        }
-    }
+    use tb_common::testutil::MapEngine;
 
     fn cluster(n: u32) -> Arc<CoordinatorGroup> {
         let nodes = (0..n)

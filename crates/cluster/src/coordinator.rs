@@ -198,33 +198,7 @@ mod tests {
     use std::collections::BTreeMap;
     use tb_common::{Key, KvEngine, Value};
 
-    struct MapEngine(Mutex<BTreeMap<Key, Value>>);
-
-    impl MapEngine {
-        fn shared() -> Arc<dyn KvEngine> {
-            Arc::new(Self(Mutex::new(BTreeMap::new())))
-        }
-    }
-
-    impl KvEngine for MapEngine {
-        fn get(&self, key: &Key) -> Result<Option<Value>> {
-            Ok(self.0.lock().get(key).cloned())
-        }
-        fn put(&self, key: Key, value: Value) -> Result<()> {
-            self.0.lock().insert(key, value);
-            Ok(())
-        }
-        fn delete(&self, key: &Key) -> Result<()> {
-            self.0.lock().remove(key);
-            Ok(())
-        }
-        fn resident_bytes(&self) -> u64 {
-            0
-        }
-        fn label(&self) -> String {
-            "map".into()
-        }
-    }
+    use tb_common::testutil::MapEngine;
 
     fn cluster(n: u32) -> CoordinatorGroup {
         let nodes = (0..n)

@@ -7,6 +7,14 @@
 //! routing epochs, stale-routing errors, replica promotion, and slot
 //! migration behave as they would across machines.
 
+/// Unit tests that arm `tb_common::fault` injections serialize on this
+/// gate: the registry holds one injection slot per process.
+#[cfg(test)]
+pub(crate) fn fault_test_gate() -> parking_lot::MutexGuard<'static, ()> {
+    static GATE: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
+    GATE.lock()
+}
+
 pub mod client;
 pub mod coordinator;
 pub mod node;

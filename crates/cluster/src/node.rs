@@ -357,55 +357,9 @@ impl NodeStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parking_lot::Mutex;
-    use std::collections::BTreeMap;
     use tb_common::fault::{self, FaultMode};
 
-    pub(crate) struct MapEngine(Mutex<BTreeMap<Key, Value>>);
-
-    impl MapEngine {
-        pub(crate) fn shared() -> Arc<dyn KvEngine> {
-            Arc::new(Self(Mutex::new(BTreeMap::new())))
-        }
-    }
-
-    impl KvEngine for MapEngine {
-        fn get(&self, key: &Key) -> Result<Option<Value>> {
-            Ok(self.0.lock().get(key).cloned())
-        }
-        fn put(&self, key: Key, value: Value) -> Result<()> {
-            self.0.lock().insert(key, value);
-            Ok(())
-        }
-        fn delete(&self, key: &Key) -> Result<()> {
-            self.0.lock().remove(key);
-            Ok(())
-        }
-        // Native scan: the trait's default lowers onto `apply_batch`,
-        // whose default lowers back — an engine must break the cycle.
-        fn scan(&self, start: &Key, end: Option<&Key>, limit: usize) -> Result<Vec<(Key, Value)>> {
-            Ok(self
-                .0
-                .lock()
-                .range::<Key, _>((
-                    std::ops::Bound::Included(start),
-                    end.map_or(std::ops::Bound::Unbounded, std::ops::Bound::Excluded),
-                ))
-                .take(limit)
-                .map(|(k, v)| (k.clone(), v.clone()))
-                .collect())
-        }
-        fn resident_bytes(&self) -> u64 {
-            self.0
-                .lock()
-                .iter()
-                .map(|(k, v)| (k.len() + v.len()) as u64)
-                .sum()
-        }
-        fn label(&self) -> String {
-            "map".into()
-        }
-    }
+    use tb_common::testutil::MapEngine;
 
     #[test]
     fn crash_blocks_access() {
@@ -461,6 +415,7 @@ mod tests {
 
     #[test]
     fn failed_ship_keeps_primary_ack_and_inventory_aligned() {
+        let _g = crate::fault_test_gate();
         // The pre-PR-8 dual-write skipped the inventory update when the
         // replica write failed: the key existed on the primary but
         // migration could never see it. Now the inventory tracks the

@@ -296,37 +296,9 @@ fn apply_record(replica: &dyn KvEngine, record: &ReplRecord) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parking_lot::Mutex as PMutex;
-    use std::collections::BTreeMap;
     use tb_common::fault::FaultMode;
 
-    struct MapEngine(PMutex<BTreeMap<Key, Value>>);
-
-    impl MapEngine {
-        fn shared() -> Arc<Self> {
-            Arc::new(Self(PMutex::new(BTreeMap::new())))
-        }
-    }
-
-    impl KvEngine for MapEngine {
-        fn get(&self, key: &Key) -> Result<Option<Value>> {
-            Ok(self.0.lock().get(key).cloned())
-        }
-        fn put(&self, key: Key, value: Value) -> Result<()> {
-            self.0.lock().insert(key, value);
-            Ok(())
-        }
-        fn delete(&self, key: &Key) -> Result<()> {
-            self.0.lock().remove(key);
-            Ok(())
-        }
-        fn resident_bytes(&self) -> u64 {
-            0
-        }
-        fn label(&self) -> String {
-            "map".into()
-        }
-    }
+    use tb_common::testutil::MapEngine;
 
     fn k(i: u64) -> Key {
         Key::from(format!("k{i}"))
@@ -369,6 +341,7 @@ mod tests {
 
     #[test]
     fn promote_replays_acked_but_unapplied_frames() {
+        let _g = crate::fault_test_gate();
         let replica = MapEngine::shared();
         let ch = ReplChannel::new(replica.clone());
         ch.ship(Lsn(1), &ReplRecord::Put(k(1), v(1))).unwrap();
@@ -387,6 +360,7 @@ mod tests {
 
     #[test]
     fn apply_gap_is_not_skipped_by_later_successful_ships() {
+        let _g = crate::fault_test_gate();
         // One eager apply fails mid-stream; later ships succeed. The
         // applied cursor must stall at the gap — advancing it past the
         // unapplied frame silently dropped that write from promotion
@@ -408,6 +382,7 @@ mod tests {
 
     #[test]
     fn errored_ship_leaves_log_parseable() {
+        let _g = crate::fault_test_gate();
         let replica = MapEngine::shared();
         let ch = ReplChannel::new(replica.clone());
         ch.ship(Lsn(1), &ReplRecord::Put(k(1), v(1))).unwrap();
@@ -424,6 +399,7 @@ mod tests {
 
     #[test]
     fn promote_discards_unacked_torn_tail() {
+        let _g = crate::fault_test_gate();
         let replica = MapEngine::shared();
         let ch = ReplChannel::new(replica.clone());
         ch.ship(Lsn(1), &ReplRecord::Put(k(1), v(1))).unwrap();
@@ -443,6 +419,7 @@ mod tests {
 
     #[test]
     fn failed_promotion_is_resumable() {
+        let _g = crate::fault_test_gate();
         let replica = MapEngine::shared();
         let ch = ReplChannel::new(replica.clone());
         fault::arm_scoped("repl.apply", 1, FaultMode::Error);

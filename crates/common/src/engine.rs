@@ -145,7 +145,7 @@ pub struct BatchReadStats {
     /// `compressed_bytes_written`, the store's real compression ratio.
     pub uncompressed_bytes_written: u64,
     /// Block frames whose payload was decompressed on a read (stored
-    /// frames and legacy raw blocks don't count).
+    /// frames don't count).
     pub blocks_decompressed: u64,
     /// Block frames that failed CRC or decode — each surfaced as a
     /// per-slot corruption error, never a torn batch.
@@ -323,52 +323,11 @@ pub trait KvEngine: Send + Sync {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parking_lot::Mutex;
-    use std::collections::BTreeMap;
-
-    struct MapEngine(Mutex<BTreeMap<Key, Value>>);
-
-    impl KvEngine for MapEngine {
-        fn get(&self, key: &Key) -> Result<Option<Value>> {
-            Ok(self.0.lock().get(key).cloned())
-        }
-        fn put(&self, key: Key, value: Value) -> Result<()> {
-            self.0.lock().insert(key, value);
-            Ok(())
-        }
-        fn delete(&self, key: &Key) -> Result<()> {
-            self.0.lock().remove(key);
-            Ok(())
-        }
-        fn resident_bytes(&self) -> u64 {
-            self.0
-                .lock()
-                .iter()
-                .map(|(k, v)| (k.len() + v.len()) as u64)
-                .sum()
-        }
-        fn label(&self) -> String {
-            "map".into()
-        }
-        // Native ordered iteration; `apply_batch`'s default Scan arm
-        // lowers onto this (the override contract in `KvEngine::scan`).
-        fn scan(&self, start: &Key, end: Option<&Key>, limit: usize) -> Result<Vec<(Key, Value)>> {
-            Ok(self
-                .0
-                .lock()
-                .range::<Key, _>((
-                    std::ops::Bound::Included(start),
-                    end.map_or(std::ops::Bound::Unbounded, std::ops::Bound::Excluded),
-                ))
-                .take(limit)
-                .map(|(k, v)| (k.clone(), v.clone()))
-                .collect())
-        }
-    }
+    use crate::testutil::MapEngine;
 
     #[test]
     fn default_cas_success_and_mismatch() {
-        let e = MapEngine(Mutex::new(BTreeMap::new()));
+        let e = MapEngine::new();
         let k = Key::from("k");
         // Absent key, expected None → ok.
         e.cas(k.clone(), None, Value::from("v1")).unwrap();
@@ -385,7 +344,7 @@ mod tests {
 
     #[test]
     fn default_apply_batch_applies_in_submission_order() {
-        let e = MapEngine(Mutex::new(BTreeMap::new()));
+        let e = MapEngine::new();
         let k = Key::from("seq");
         let outcomes = e.apply_batch(vec![
             EngineOp::Get(k.clone()),
@@ -427,7 +386,7 @@ mod tests {
 
     #[test]
     fn default_batch_methods_route_through_apply_batch() {
-        let e = MapEngine(Mutex::new(BTreeMap::new()));
+        let e = MapEngine::new();
         e.multi_put(vec![
             (Key::from("a"), Value::from("1")),
             (Key::from("b"), Value::from("2")),
@@ -442,7 +401,7 @@ mod tests {
 
     #[test]
     fn scan_in_batch_sees_earlier_writes_and_respects_bounds() {
-        let e = MapEngine(Mutex::new(BTreeMap::new()));
+        let e = MapEngine::new();
         for i in 0..6 {
             e.put(Key::from(format!("s{i}")), Value::from(format!("v{i}")))
                 .unwrap();
@@ -497,20 +456,20 @@ mod tests {
         assert!(Lsn(3) < Lsn(4), "LSNs order by sequence");
         assert_eq!(format!("{}", Lsn(42)), "42");
         // Engines without a log report NONE and never advance.
-        let e = MapEngine(Mutex::new(BTreeMap::new()));
+        let e = MapEngine::new();
         e.put(Key::from("k"), Value::from("v")).unwrap();
         assert_eq!(e.applied_lsn(), Lsn::NONE);
     }
 
     #[test]
     fn batch_read_stats_default_to_zero() {
-        let e = MapEngine(Mutex::new(BTreeMap::new()));
+        let e = MapEngine::new();
         assert_eq!(e.batch_read_stats(), BatchReadStats::default());
     }
 
     #[test]
     fn resident_bytes_tracks_content() {
-        let e = MapEngine(Mutex::new(BTreeMap::new()));
+        let e = MapEngine::new();
         assert_eq!(e.resident_bytes(), 0);
         e.put(Key::from("ab"), Value::from("cdef")).unwrap();
         assert_eq!(e.resident_bytes(), 6);

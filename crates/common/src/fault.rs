@@ -77,6 +77,9 @@ struct Registry {
     counting: bool,
     /// Set once a crash fired; every later hit errors out.
     crashed: Option<&'static str>,
+    /// `Some`: the crash came from a scoped injection and freezes only
+    /// that thread's hits.
+    crash_thread: Option<std::thread::ThreadId>,
     /// True once the armed injection fired (any mode).
     fired: bool,
 }
@@ -105,20 +108,24 @@ fn check(site: &'static str) -> Result<Checked> {
     if r.counting || r.injection.is_some() {
         *r.hits.entry(site).or_insert(0) += 1;
     }
-    if let Some(at) = r.crashed {
+    let this_thread = |scope: Option<std::thread::ThreadId>| {
+        scope.is_none_or(|t| t == std::thread::current().id())
+    };
+    if let Some(at) = r.crashed.filter(|_| this_thread(r.crash_thread)) {
         return Err(Error::FaultInjected(format!(
             "{site}: process already crashed at {at}"
         )));
     }
     let fire = match r.injection.as_mut() {
-        Some(inj)
-            if inj.site == site && inj.thread.is_none_or(|t| t == std::thread::current().id()) =>
-        {
+        Some(inj) if inj.site == site && this_thread(inj.thread) => {
             inj.seen += 1;
             (inj.seen == inj.hit).then_some(inj.mode)
         }
         _ => None,
     };
+    if matches!(fire, Some(FaultMode::Crash | FaultMode::Torn { .. })) {
+        r.crash_thread = r.injection.as_ref().and_then(|inj| inj.thread);
+    }
     match fire {
         None => Ok(Checked::Run),
         Some(FaultMode::Error) => {
@@ -185,8 +192,9 @@ pub fn arm(site: &'static str, hit: u64, mode: FaultMode) {
 }
 
 /// Like [`arm`], but the fault only fires on the calling thread — other
-/// threads' hits neither fire nor advance the counter. For injections
-/// inside parallel test binaries.
+/// threads' hits neither fire nor advance the counter, and a crash it
+/// fires freezes only this thread's hits. For injections inside
+/// parallel test binaries.
 pub fn arm_scoped(site: &'static str, hit: u64, mode: FaultMode) {
     arm_inner(site, hit, mode, Some(std::thread::current().id()))
 }
@@ -348,6 +356,23 @@ mod tests {
         .unwrap();
         assert!(!fault_fired(), "other threads must not trip a scoped fault");
         assert!(hit("t.scoped").is_err(), "the arming thread still fires");
+        reset();
+    }
+
+    #[test]
+    fn scoped_crash_freezes_only_the_arming_thread() {
+        let _g = serial();
+        reset();
+        arm_scoped("t.scoped_crash", 1, FaultMode::Crash);
+        let caught = std::panic::catch_unwind(|| hit("t.scoped_crash"));
+        assert!(caught.is_err(), "the arming thread crashes");
+        std::thread::spawn(|| hit("t.bystander").unwrap())
+            .join()
+            .unwrap();
+        assert!(
+            hit("t.bystander").is_err(),
+            "the crashed thread stays frozen"
+        );
         reset();
     }
 

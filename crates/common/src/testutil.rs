@@ -1,4 +1,4 @@
-//! Shared test-directory helper.
+//! Shared test helpers: temp directories and an in-memory engine.
 //!
 //! Every crate in the workspace used to roll its own pid-keyed temp-dir
 //! scheme (`tb-foo-{pid}`), which collides when two tests in one binary
@@ -8,8 +8,11 @@
 //! [`TestDir`] guard removes the directory on drop — including the
 //! unwind of a failing assertion.
 
+use crate::{Key, KvEngine, Result, Value};
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// RAII temporary directory for tests and benches.
 ///
@@ -65,6 +68,67 @@ pub fn test_dir(tag: &str) -> TestDir {
     // the path behind; tests expect a fresh tree.
     let _ = std::fs::remove_dir_all(&path);
     TestDir { path }
+}
+
+/// In-memory [`KvEngine`] test double: an ordered map behind a mutex.
+/// It scans natively, so the trait's `scan` and `apply_batch` defaults
+/// never lower onto each other, and its `resident_bytes` is the size of
+/// the keys and values it holds.
+#[derive(Debug, Default)]
+pub struct MapEngine(Mutex<BTreeMap<Key, Value>>);
+
+impl MapEngine {
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// A fresh engine as the trait object cluster nodes and front-ends
+    /// take.
+    pub fn shared() -> Arc<dyn KvEngine> {
+        Arc::new(Self::new())
+    }
+
+    fn map(&self) -> MutexGuard<'_, BTreeMap<Key, Value>> {
+        // A test that panicked mid-call leaves a consistent map behind.
+        self.0.lock().unwrap_or_else(|e| e.into_inner())
+    }
+}
+
+impl KvEngine for MapEngine {
+    fn get(&self, key: &Key) -> Result<Option<Value>> {
+        Ok(self.map().get(key).cloned())
+    }
+
+    fn put(&self, key: Key, value: Value) -> Result<()> {
+        self.map().insert(key, value);
+        Ok(())
+    }
+
+    fn delete(&self, key: &Key) -> Result<()> {
+        self.map().remove(key);
+        Ok(())
+    }
+
+    fn scan(&self, start: &Key, end: Option<&Key>, limit: usize) -> Result<Vec<(Key, Value)>> {
+        let upper = end.map_or(std::ops::Bound::Unbounded, std::ops::Bound::Excluded);
+        Ok(self
+            .map()
+            .range::<Key, _>((std::ops::Bound::Included(start), upper))
+            .take(limit)
+            .map(|(k, v)| (k.clone(), v.clone()))
+            .collect())
+    }
+
+    fn resident_bytes(&self) -> u64 {
+        self.map()
+            .iter()
+            .map(|(k, v)| (k.len() + v.len()) as u64)
+            .sum()
+    }
+
+    fn label(&self) -> String {
+        "map".into()
+    }
 }
 
 #[cfg(test)]

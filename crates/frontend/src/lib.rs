@@ -17,18 +17,7 @@
 //! use std::sync::Arc;
 //! use tb_common::{Key, KvEngine, Value};
 //! use tb_frontend::{Frontend, FrontendConfig, Request};
-//! # use tb_common::Result;
-//! # use parking_lot::Mutex;
-//! # use std::collections::BTreeMap;
-//! # struct MapEngine(Mutex<BTreeMap<Key, Value>>);
-//! # impl KvEngine for MapEngine {
-//! #     fn get(&self, key: &Key) -> Result<Option<Value>> { Ok(self.0.lock().get(key).cloned()) }
-//! #     fn put(&self, key: Key, value: Value) -> Result<()> { self.0.lock().insert(key, value); Ok(()) }
-//! #     fn delete(&self, key: &Key) -> Result<()> { self.0.lock().remove(key); Ok(()) }
-//! #     fn resident_bytes(&self) -> u64 { 0 }
-//! #     fn label(&self) -> String { "map".into() }
-//! # }
-//! # let engine: Arc<dyn KvEngine> = Arc::new(MapEngine(Mutex::new(BTreeMap::new())));
+//! # let engine: Arc<dyn KvEngine> = tb_common::testutil::MapEngine::shared();
 //! let fe = Frontend::start(engine, FrontendConfig::default());
 //! // Pipelined: submit many requests, await their tickets later.
 //! let tickets: Vec<_> = (0..100)

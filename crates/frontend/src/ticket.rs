@@ -53,8 +53,8 @@ enum TicketInner {
     },
     /// A scattered cross-shard write (`MultiPut` split by shard):
     /// resolves [`Response::Done`] once every part has; the first part
-    /// error fails the whole ticket. Parts commit independently —
-    /// cross-shard write atomicity is out of scope.
+    /// error (in part order) fails the whole ticket. Parts commit
+    /// independently — cross-shard write atomicity is out of scope.
     GatherAll { parts: Vec<Ticket> },
 }
 
@@ -94,17 +94,12 @@ pub(crate) fn gather_all(parts: Vec<Ticket>) -> Ticket {
     }
 }
 
-/// Assembles a gather's parts (each already resolved or resolvable via
-/// `get`) into one key-ordered `Values` response. The first part error
-/// fails the whole gather.
-fn assemble(
-    parts: &[(Vec<usize>, Ticket)],
-    len: usize,
-    get: impl Fn(&Ticket) -> Result<Response>,
-) -> Result<Response> {
+/// Assembles a settled gather's parts into one key-ordered `Values`
+/// response. The first part error fails the whole gather.
+fn assemble(parts: &[(Vec<usize>, Ticket)], len: usize) -> Result<Response> {
     let mut out = vec![None; len];
     for (slots, part) in parts {
-        match get(part)? {
+        match part.wait()? {
             Response::Values(values) => {
                 for (slot, v) in slots.iter().zip(values) {
                     out[*slot] = v;
@@ -121,7 +116,9 @@ fn assemble(
 }
 
 impl Ticket {
-    /// Blocks until the request resolves.
+    /// Blocks until the request resolves. A gather resolves only once
+    /// every part has settled — an early part error must not overtake
+    /// slices still being applied.
     pub fn wait(&self) -> Result<Response> {
         match &self.inner {
             TicketInner::Single(shared) => {
@@ -131,15 +128,11 @@ impl Ticket {
                 }
                 outcome.as_ref().expect("resolved").0.clone()
             }
-            TicketInner::Gather { parts, len } => assemble(parts, *len, |t| t.wait()),
-            TicketInner::GatherAll { parts } => {
-                let mut lsn = Lsn::NONE;
-                for part in parts {
-                    if let Response::Done(l) = part.wait()? {
-                        lsn = lsn.max(l);
-                    }
+            _ => {
+                for part in self.parts() {
+                    let _ = part.wait();
                 }
-                Ok(Response::Done(lsn))
+                self.settled()
             }
         }
     }
@@ -159,26 +152,14 @@ impl Ticket {
                 }
                 Some(outcome.as_ref().expect("resolved").0.clone())
             }
-            TicketInner::Gather { parts, len } => {
-                for (_, part) in parts {
+            _ => {
+                for part in self.parts() {
                     let remaining = deadline.checked_duration_since(Instant::now())?;
-                    // Errors surface from `assemble` below; here only
-                    // "resolved at all vs timed out" matters.
+                    // Only "settled vs timed out" matters here; part
+                    // errors surface from `settled` below.
                     let _ = part.wait_timeout(remaining)?;
                 }
-                Some(assemble(parts, *len, |t| t.wait()))
-            }
-            TicketInner::GatherAll { parts } => {
-                let mut lsn = Lsn::NONE;
-                for part in parts {
-                    let remaining = deadline.checked_duration_since(Instant::now())?;
-                    match part.wait_timeout(remaining)? {
-                        Err(e) => return Some(Err(e)),
-                        Ok(Response::Done(l)) => lsn = lsn.max(l),
-                        Ok(_) => {}
-                    }
-                }
-                Some(Ok(Response::Done(lsn)))
+                Some(self.settled())
             }
         }
     }
@@ -187,19 +168,33 @@ impl Ticket {
     pub fn try_get(&self) -> Option<Result<Response>> {
         match &self.inner {
             TicketInner::Single(shared) => shared.outcome.lock().as_ref().map(|(r, _)| r.clone()),
-            TicketInner::Gather { parts, len } => {
-                if parts.iter().all(|(_, t)| t.is_done()) {
-                    Some(assemble(parts, *len, |t| t.wait()))
-                } else {
-                    None
-                }
-            }
+            _ => self.is_done().then(|| self.settled()),
+        }
+    }
+
+    /// A gather's sub-tickets, in part order (empty for a single).
+    fn parts(&self) -> Vec<&Ticket> {
+        match &self.inner {
+            TicketInner::Single(_) => Vec::new(),
+            TicketInner::Gather { parts, .. } => parts.iter().map(|(_, t)| t).collect(),
+            TicketInner::GatherAll { parts } => parts.iter().collect(),
+        }
+    }
+
+    /// The outcome of a gather whose parts have all resolved: the first
+    /// part error in part order, else the assembled response.
+    fn settled(&self) -> Result<Response> {
+        match &self.inner {
+            TicketInner::Single(_) => self.wait(),
+            TicketInner::Gather { parts, len } => assemble(parts, *len),
             TicketInner::GatherAll { parts } => {
-                if parts.iter().all(|t| t.is_done()) {
-                    Some(self.wait())
-                } else {
-                    None
+                let mut lsn = Lsn::NONE;
+                for part in parts {
+                    if let Response::Done(l) = part.wait()? {
+                        lsn = lsn.max(l);
+                    }
                 }
+                Ok(Response::Done(lsn))
             }
         }
     }
@@ -208,8 +203,7 @@ impl Ticket {
     pub fn is_done(&self) -> bool {
         match &self.inner {
             TicketInner::Single(shared) => shared.outcome.lock().is_some(),
-            TicketInner::Gather { parts, .. } => parts.iter().all(|(_, t)| t.is_done()),
-            TicketInner::GatherAll { parts } => parts.iter().all(|t| t.is_done()),
+            _ => self.parts().iter().all(|t| t.is_done()),
         }
     }
 
@@ -218,20 +212,15 @@ impl Ticket {
     pub fn completed_at(&self) -> Option<Instant> {
         match &self.inner {
             TicketInner::Single(shared) => shared.outcome.lock().as_ref().map(|(_, t)| *t),
-            TicketInner::Gather { parts, .. } => {
-                Self::latest_completion(parts.iter().map(|(_, t)| t))
+            _ => {
+                let mut latest = None;
+                for part in self.parts() {
+                    let at = part.completed_at()?;
+                    latest = Some(latest.map_or(at, |l: Instant| l.max(at)));
+                }
+                latest
             }
-            TicketInner::GatherAll { parts } => Self::latest_completion(parts.iter()),
         }
-    }
-
-    fn latest_completion<'a>(parts: impl Iterator<Item = &'a Ticket>) -> Option<Instant> {
-        let mut latest = None;
-        for part in parts {
-            let at = part.completed_at()?;
-            latest = Some(latest.map_or(at, |l: Instant| l.max(at)));
-        }
-        latest
     }
 }
 
@@ -347,6 +336,50 @@ mod tests {
             g.wait_timeout(Duration::from_millis(1)).unwrap().unwrap(),
             Response::Done(Lsn(9))
         );
+    }
+
+    #[test]
+    fn gather_error_waits_for_every_part_to_settle() {
+        // One part fails at once, the other completes late: neither kind
+        // of gather may report the error before the late part lands.
+        for all in [false, true] {
+            let (t1, c1) = ticket();
+            let (t2, c2) = ticket();
+            let g = if all {
+                gather_all(vec![t1, t2])
+            } else {
+                gather(vec![(vec![0], t1), (vec![1], t2)], 2)
+            };
+            c1.complete(Err(Error::backpressure("shard full")));
+            assert!(g.try_get().is_none(), "a part is still pending");
+            assert!(
+                g.wait_timeout(Duration::from_millis(5)).is_none(),
+                "gather (all={all}) timed out with a part pending, not with its error"
+            );
+            let late_landed = Arc::new(std::sync::atomic::AtomicBool::new(false));
+            let landed = late_landed.clone();
+            // The delay only widens the window a premature return would
+            // show in; a correct `wait` passes under any schedule.
+            let h = std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_millis(50));
+                landed.store(true, std::sync::atomic::Ordering::SeqCst);
+                c2.complete(Ok(if all {
+                    Response::Done(Lsn(4))
+                } else {
+                    Response::Values(vec![None])
+                }));
+            });
+            assert!(matches!(g.wait(), Err(Error::Backpressure { .. })));
+            assert!(
+                late_landed.load(std::sync::atomic::Ordering::SeqCst),
+                "gather (all={all}) returned before its late part settled"
+            );
+            assert!(matches!(
+                g.wait_timeout(Duration::from_millis(1)),
+                Some(Err(Error::Backpressure { .. }))
+            ));
+            h.join().unwrap();
+        }
     }
 
     #[test]

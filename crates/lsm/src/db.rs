@@ -5,17 +5,20 @@
 //! SSTable named by a durably-written manifest. Recovery = load
 //! manifest, open tables, replay WAL.
 //!
-//! Concurrency: one `RwLock` around the whole tree. Reads share the
-//! lock (including their block I/O); writes serialize. This favors
-//! simplicity — the engine's role in TierBase is the *storage tier*,
-//! whose throughput the paper models as RPC-bounded anyway.
+//! Concurrency: one `RwLock` around the whole tree. Every read — point
+//! get, scan, batched lookup — stages its blocks under the shared lock
+//! and fetches them after it drops ([`LsmDb::apply_batch`]); writes
+//! serialize, and CAS reads its expected value under the write lock.
+//! This favors simplicity — the engine's role in TierBase is the
+//! *storage tier*, whose throughput the paper models as RPC-bounded
+//! anyway.
 
 use crate::compaction::{level_bytes, level_limit, merge_runs};
 use crate::memtable::{Entry, Memtable};
 use crate::read_pool::{FetchJob, ReadPool};
 use crate::sstable::{
-    decode_block, find_in_block, sync_parent_dir, write_sstable_with_stats, BlockBuf,
-    SstBuildStats, SstConfig, SstDecodeStats, SstMeta, SstReader,
+    decode_block, find_in_block, sync_parent_dir, write_sstable_with_stats, SstBuildStats,
+    SstConfig, SstDecodeStats, SstMeta, SstReader,
 };
 use crate::wal::{SyncPolicy, Wal};
 use parking_lot::RwLock;
@@ -87,9 +90,11 @@ impl LsmConfig {
 pub struct LsmStats {
     pub flushes: AtomicU64,
     pub compactions: AtomicU64,
+    /// Key lookups: point gets, batched gets and CAS reads.
     pub gets: AtomicU64,
     pub puts: AtomicU64,
-    /// [`LsmDb::apply_batch`] invocations.
+    /// [`LsmDb::apply_batch`] invocations; a point get or scan is a
+    /// batch of one.
     pub batches: AtomicU64,
     /// Unique SSTable blocks fetched by batched reads.
     pub batch_blocks_read: AtomicU64,
@@ -365,27 +370,13 @@ impl LsmDb {
         Ok(lsn)
     }
 
-    /// Point lookup through memtable and levels.
+    /// Point lookup: a one-op batch through [`Self::apply_batch`]'s
+    /// staged read path.
     pub fn get(&self, key: &Key) -> Result<Option<Value>> {
-        self.stats.gets.fetch_add(1, Ordering::Relaxed);
-        Self::get_locked(&self.inner.read(), key)
-    }
-
-    fn get_locked(inner: &Inner, key: &Key) -> Result<Option<Value>> {
-        if let Some(entry) = inner.memtable.get(key) {
-            return Ok(entry.as_option().cloned());
+        match self.apply_one(EngineOp::Get(key.clone()))? {
+            OpOutcome::Value(v) => Ok(v),
+            other => Err(Error::Internal(format!("get batch resolved to {other:?}"))),
         }
-        for level in &inner.levels {
-            for table in level {
-                if let Some(entry) = table.get(key)? {
-                    return Ok(match entry {
-                        Entry::Put(v) => Some(v),
-                        Entry::Tombstone => None,
-                    });
-                }
-            }
-        }
-        Ok(None)
     }
 
     /// Atomic compare-and-set: the read, the comparison, and the write
@@ -404,7 +395,21 @@ impl LsmDb {
         expected: Option<&Value>,
         new: Value,
     ) -> Result<u64> {
-        let current = Self::get_locked(inner, &key)?;
+        // The expected value resolves like any batched lookup — memtable
+        // or staged candidate blocks — but the blocks are fetched here,
+        // under the write lock, stopping at the first table that holds
+        // the key.
+        let mut cands = Vec::new();
+        let current = match self.stage_lookup(inner, key.clone(), &mut cands) {
+            Lookup::Ready(v) => v,
+            Lookup::Staged { .. } => first_hit(
+                &key,
+                cands.iter().map(|(table, idx)| {
+                    self.stats.batch_blocks_read.fetch_add(1, Ordering::Relaxed);
+                    fetch_inline(table, *idx)
+                }),
+            )?,
+        };
         let matches = match (current.as_ref(), expected) {
             (Some(c), Some(e)) => c == e,
             (None, None) => true,
@@ -518,16 +523,8 @@ impl LsmDb {
         let fetch_t0 = tb_obs::start();
         // Both fault passes run here, on the submitting thread, in the
         // same sorted fetch order whether or not a pool is configured
-        // (positional determinism): `batch.block_read` fails the fetch
-        // outright; a surviving fetch then draws its `sst.block_decode`
-        // decision — a hit marks the block corrupt, and its frame is
-        // deterministically mangled at decode time so the slot fails
-        // with the same `Error::Corruption` a rotted disk would cause.
-        let decide = || -> Result<bool> {
-            fault::hit("batch.block_read")?;
-            Ok(fault::hit("sst.block_decode").is_err())
-        };
-        let blocks: Vec<Result<BlockBuf>> = if pass.is_err() {
+        // (see `fetch_decision`).
+        let blocks: Vec<Result<Vec<u8>>> = if pass.is_err() {
             Vec::new()
         } else if let Some(pool) = &self.read_pool {
             // Pooled fetch: the whole deduped list goes to the shard's
@@ -536,12 +533,12 @@ impl LsmDb {
             // this thread), and results return in submission order.
             //
             // Fault decisions are drawn *here*, pre-dispatch (see
-            // `decide` above): a `batch.block_read`-faulted fetch is
+            // `fetch_decision`): a `batch.block_read`-faulted fetch is
             // never dispatched — its error scopes to the slots
             // referencing that block alone, exactly like an inline read
             // error — while a corrupt-marked fetch is dispatched and
             // fails at decode on whichever thread claims it.
-            let gates: Vec<Result<bool>> = fetches.iter().map(|_| decide()).collect();
+            let gates: Vec<Result<bool>> = fetches.iter().map(|_| fetch_decision()).collect();
             let jobs: Vec<FetchJob> = fetches
                 .iter()
                 .zip(&gates)
@@ -584,11 +581,7 @@ impl LsmDb {
                 .iter()
                 .map(|&i| {
                     let (table, idx) = &cands[i as usize];
-                    decide().and_then(|corrupt| {
-                        table
-                            .read_block_marked(*idx, corrupt)
-                            .map(BlockBuf::from_vec)
-                    })
+                    fetch_inline(table, *idx)
                 })
                 .collect()
         };
@@ -609,17 +602,12 @@ impl LsmDb {
                 Lookup::Ready(v) => Ok(v),
                 Lookup::Staged { key, start, end } => {
                     pass.clone()?;
-                    for slot in &slot_of[start..end] {
-                        match &blocks[*slot as usize] {
-                            Err(e) => return Err(e.clone()),
-                            Ok(bytes) => {
-                                if let Some(entry) = find_in_block(bytes.as_slice(), &key)? {
-                                    return Ok(entry.as_option().cloned());
-                                }
-                            }
-                        }
-                    }
-                    Ok(None)
+                    first_hit(
+                        &key,
+                        slot_of[start..end]
+                            .iter()
+                            .map(|&slot| blocks[slot as usize].as_ref().map_err(Error::clone)),
+                    )
                 }
             }
         };
@@ -642,7 +630,7 @@ impl LsmDb {
                 match &blocks[*slot as usize] {
                     Err(e) => return Err(e.clone()),
                     Ok(bytes) => {
-                        for (key, entry) in decode_block(bytes.as_slice())? {
+                        for (key, entry) in decode_block(bytes)? {
                             if key >= start && end.as_ref().is_none_or(|e| &key < e) {
                                 merged.entry(key).or_insert(entry);
                             }
@@ -822,43 +810,11 @@ impl LsmDb {
         }
     }
 
-    /// Ordered scan of all live keys starting with `prefix`, merging
-    /// the memtable and every level with newest-wins semantics.
-    /// Tombstones shadow older versions and are dropped from the
-    /// result. SSTables whose `[min_key, max_key]` range cannot contain
-    /// the prefix are skipped without touching disk.
+    /// Ordered scan of all live keys starting with `prefix`: the
+    /// bounded [`Self::scan`] of `[prefix, prefix_successor(prefix))`.
     pub fn scan_prefix(&self, prefix: &[u8]) -> Result<Vec<(Key, Value)>> {
-        let inner = self.inner.read();
-        // Highest priority first: memtable, then L0 newest-first, then
-        // deeper levels. `or_insert` keeps the freshest version.
-        let mut merged: std::collections::BTreeMap<Key, Entry> = std::collections::BTreeMap::new();
-        for (k, e) in inner.memtable.scan_prefix(prefix) {
-            merged.entry(k.clone()).or_insert_with(|| e.clone());
-        }
-        for level in &inner.levels {
-            for table in level {
-                let overlaps = table.meta.max_key.as_slice() >= prefix
-                    && match prefix_successor(prefix) {
-                        Some(ref up) => table.meta.min_key.as_slice() < up.as_slice(),
-                        None => true,
-                    };
-                if !overlaps {
-                    continue;
-                }
-                for (k, e) in table.scan()? {
-                    if k.as_slice().starts_with(prefix) {
-                        merged.entry(k).or_insert(e);
-                    }
-                }
-            }
-        }
-        Ok(merged
-            .into_iter()
-            .filter_map(|(k, e)| match e {
-                Entry::Put(v) => Some((k, v)),
-                Entry::Tombstone => None,
-            })
-            .collect())
+        let end = prefix_successor(prefix).map(Key::from);
+        self.scan(&Key::copy_from(prefix), end.as_ref(), usize::MAX)
     }
 
     /// Ordered scan of live keys in `start <= key < end` (`end = None`
@@ -866,20 +822,22 @@ impl LsmDb {
     /// through the batched submission/completion path, so the staged
     /// blocks ride the (possibly pooled) deduped fetch list.
     pub fn scan(&self, start: &Key, end: Option<&Key>, limit: usize) -> Result<Vec<(Key, Value)>> {
-        match LsmDb::apply_batch(
-            self,
-            vec![EngineOp::Scan {
-                start: start.clone(),
-                end: end.cloned(),
-                limit,
-            }],
-        )
-        .pop()
-        {
-            Some(Ok(OpOutcome::Range(rows))) => Ok(rows),
-            Some(Err(e)) => Err(e),
+        let op = EngineOp::Scan {
+            start: start.clone(),
+            end: end.cloned(),
+            limit,
+        };
+        match self.apply_one(op)? {
+            OpOutcome::Range(rows) => Ok(rows),
             other => Err(Error::Internal(format!("scan batch resolved to {other:?}"))),
         }
+    }
+
+    /// Submits `op` as a batch of one and returns its completion.
+    fn apply_one(&self, op: EngineOp) -> Result<OpOutcome> {
+        LsmDb::apply_batch(self, vec![op])
+            .pop()
+            .unwrap_or_else(|| Err(Error::Internal("batch of one completed nothing".into())))
     }
 
     /// Forces the memtable to disk (no-op when empty).
@@ -1116,35 +1074,6 @@ impl KvEngine for LsmDb {
         LsmDb::apply_batch(self, ops)
     }
 
-    /// Batched lookups ride the overlapped submission/completion path:
-    /// one tree-lock pass, block reads deduped across the keys.
-    fn multi_get(&self, keys: &[Key]) -> Result<Vec<Option<Value>>> {
-        match LsmDb::apply_batch(self, vec![EngineOp::MultiGet(keys.to_vec())]).pop() {
-            Some(Ok(OpOutcome::Values(values))) => Ok(values),
-            Some(Err(e)) => Err(e),
-            other => Err(Error::Internal(format!(
-                "multi_get batch resolved to {other:?}"
-            ))),
-        }
-    }
-
-    /// Batched writes apply under one tree-lock acquisition instead of
-    /// one per pair.
-    fn multi_put(&self, pairs: Vec<(Key, Value)>) -> Result<()> {
-        match LsmDb::apply_batch(self, vec![EngineOp::MultiPut(pairs)]).pop() {
-            Some(Ok(OpOutcome::Done(_))) => Ok(()),
-            Some(Err(e)) => Err(e),
-            other => Err(Error::Internal(format!(
-                "multi_put batch resolved to {other:?}"
-            ))),
-        }
-    }
-
-    /// Ordered range scan through the batched read path.
-    fn scan(&self, start: &Key, end: Option<&Key>, limit: usize) -> Result<Vec<(Key, Value)>> {
-        LsmDb::scan(self, start, end, limit)
-    }
-
     fn batch_read_stats(&self) -> BatchReadStats {
         BatchReadStats {
             blocks_read: self.stats.batch_blocks_read.load(Ordering::Relaxed),
@@ -1283,6 +1212,40 @@ fn prefix_successor(prefix: &[u8]) -> Option<Vec<u8>> {
         }
     }
     None
+}
+
+/// Draws one block fetch's fault decisions on the submitting thread, in
+/// sorted fetch order, pooled or not (positional determinism):
+/// `batch.block_read` fails the fetch outright; a surviving fetch then
+/// draws `sst.block_decode`, whose hit marks the block corrupt — its
+/// frame is deterministically mangled at decode time, so the slot fails
+/// with the same `Error::Corruption` a rotted disk would cause.
+fn fetch_decision() -> Result<bool> {
+    fault::hit("batch.block_read")?;
+    Ok(fault::hit("sst.block_decode").is_err())
+}
+
+/// One block fetch on the calling thread — the per-fetch step of the
+/// inline completion pass and of CAS: fault decisions, then read and
+/// decode.
+fn fetch_inline(table: &SstReader, idx: usize) -> Result<Vec<u8>> {
+    fetch_decision().and_then(|corrupt| table.read_block_marked(idx, corrupt))
+}
+
+/// Answers a staged point lookup from its candidate blocks, given in
+/// table-priority order: the first block holding the key (value or
+/// tombstone) decides; a failed block reached before that fails the
+/// lookup.
+fn first_hit<B: AsRef<[u8]>>(
+    key: &Key,
+    blocks: impl IntoIterator<Item = Result<B>>,
+) -> Result<Option<Value>> {
+    for block in blocks {
+        if let Some(entry) = find_in_block(block?.as_ref(), key)? {
+            return Ok(entry.as_option().cloned());
+        }
+    }
+    Ok(None)
 }
 
 fn decode_wal_record(rec: &[u8]) -> Result<(Key, Entry)> {
@@ -1769,6 +1732,63 @@ mod tests {
         // The write landed and the store still serves.
         assert_eq!(db.get(&k(200)).unwrap(), Some(v(200, "w")));
         assert_eq!(db.get(&k(1)).unwrap(), Some(v(1, "f")));
+    }
+
+    #[test]
+    fn get_cas_and_scan_prefix_read_through_the_staged_path() {
+        use tb_common::fault::{self, FaultMode};
+        let _g = crate::fault_test_gate();
+        let dir = tmpdir("onepath");
+        let db = LsmDb::open(LsmConfig::small_for_tests(dir.path())).unwrap();
+        for i in 0..64 {
+            db.put(k(i), v(i, "t")).unwrap();
+        }
+        db.flush().unwrap();
+        // Every key below lives only in a flushed table, so each call
+        // must fetch blocks: counted by the batch path, and failed by
+        // its `batch.block_read` site.
+        type Call<'a> = Box<dyn Fn(usize) -> Result<()> + 'a>;
+        let calls: [(&str, usize, Call); 3] = [
+            (
+                "get",
+                10,
+                Box::new(|i| {
+                    assert_eq!(db.get(&k(i))?, Some(v(i, "t")));
+                    Ok(())
+                }),
+            ),
+            (
+                "cas",
+                20,
+                Box::new(|i| db.cas(k(i), Some(&v(i, "t")), v(i, "cas"))),
+            ),
+            (
+                "scan_prefix",
+                30,
+                Box::new(|i| {
+                    assert_eq!(db.scan_prefix(k(i).as_slice())?, vec![(k(i), v(i, "t"))]);
+                    Ok(())
+                }),
+            ),
+        ];
+        for (name, base, call) in &calls {
+            let before = KvEngine::batch_read_stats(&db).blocks_read;
+            call(*base).unwrap();
+            assert!(
+                KvEngine::batch_read_stats(&db).blocks_read > before,
+                "{name} fetched no block through the batch path"
+            );
+            // A fresh key: the CAS above moved `base` into the memtable.
+            let key = base + 1;
+            fault::arm_scoped("batch.block_read", 1, FaultMode::Error);
+            let faulted = call(key);
+            fault::reset();
+            assert!(
+                matches!(faulted, Err(Error::FaultInjected(_))),
+                "{name} must surface the block-read fault: {faulted:?}"
+            );
+            call(key).unwrap_or_else(|e| panic!("{name} failed after the fault cleared: {e:?}"));
+        }
     }
 
     #[test]

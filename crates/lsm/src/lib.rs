@@ -10,11 +10,13 @@
 //!
 //! Write path: WAL append → memtable insert → (on threshold) flush to an
 //! L0 SSTable → leveled compaction toward L_max.
-//! Read path: memtable → immutable memtables → L0 (newest first) → L1+
-//! (one table per level can contain the key).
-//! Batch path ([`db::LsmDb::apply_batch`]): one submission pass stages
-//! every SSTable lookup, the staged block reads are deduped per batch,
-//! one completion pass fills results in submission order.
+//! Read path — one for every read ([`db::LsmDb::apply_batch`]): a point
+//! get, a scan or prefix scan, and a batch all run one submission pass
+//! that resolves each lookup from the memtable or stages its candidate
+//! blocks (L0 newest first, then L1+); the staged block reads are
+//! deduped per batch, and one completion pass fills results in
+//! submission order. CAS resolves its expected value with the same
+//! staged lookup and per-block fetch, under the write lock.
 
 pub mod bloom;
 pub mod compaction;

@@ -27,7 +27,7 @@
 //! the site fails the Nth fetch whether the pool is enabled or not
 //! (positional determinism, relied on by the torture matrix).
 
-use crate::sstable::{BlockBuf, SstReader};
+use crate::sstable::SstReader;
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -73,7 +73,7 @@ struct Chain {
 
 struct ChainState {
     /// `slots[i]` answers job `i`, in submission order.
-    slots: Vec<Option<Result<BlockBuf>>>,
+    slots: Vec<Option<Result<Vec<u8>>>>,
     runs_left: usize,
 }
 
@@ -197,7 +197,7 @@ impl ReadPool {
     /// arbitrary, result order is submission order. The calling thread
     /// participates in the fetching, so this makes progress even when
     /// every pool worker is busy with other chains.
-    pub fn fetch_chain(&self, jobs: &[FetchJob]) -> Vec<Result<BlockBuf>> {
+    pub fn fetch_chain(&self, jobs: &[FetchJob]) -> Vec<Result<Vec<u8>>> {
         if jobs.is_empty() {
             return Vec::new();
         }

@@ -10,7 +10,7 @@
 //! index entry := varint(klen) | first_key | off u64 | len u32   (on-disk frame extents)
 //! footer      := dict_off u64 | dict_len u32 | codec u8 |
 //!                index_off u64 | index_len u32 | filter_off u64 |
-//!                filter_len u32 | entry_count u32 | crc u32 | MAGIC2 u32
+//!                filter_len u32 | entry_count u32 | crc u32 | FOOTER_MAGIC u32
 //! ```
 //!
 //! Blocks are sized pre-compression (`SstConfig::block_size` bounds the
@@ -22,9 +22,8 @@
 //! the frame CRC before any key search; a bad block is a per-slot
 //! [`Error::Corruption`], never a torn batch.
 //!
-//! Compatibility gate: tables written before the framed format (legacy
-//! `MAGIC`, raw blocks, 36-byte footer) still open and read — the
-//! footer magic selects the read path.
+//! Tables written before the framed format (raw blocks, 36-byte
+//! footer) are rejected at open with [`Error::Corruption`].
 //!
 //! Readers keep the sparse index and bloom filter in memory and read
 //! one frame per point lookup.
@@ -51,12 +50,9 @@ pub(crate) fn sync_parent_dir(path: &Path, site: &'static str) -> Result<()> {
     Ok(())
 }
 
-/// Legacy raw-block format (pre-compression).
-const MAGIC: u32 = 0x7b5d_57a1;
-const FOOTER_LEN: usize = 8 + 4 + 8 + 4 + 4 + 4 + 4;
 /// Framed format: compressed, checksummed blocks + dict payload.
-const MAGIC2: u32 = 0x7b5d_57a2;
-const FOOTER2_LEN: usize = 8 + 4 + 1 + FOOTER_LEN;
+const FOOTER_MAGIC: u32 = 0x7b5d_57a2;
+const FOOTER_LEN: usize = 8 + 4 + 1 + 8 + 4 + 8 + 4 + 4 + 4 + 4;
 const FLAG_PUT: u8 = 0;
 const FLAG_TOMBSTONE: u8 = 1;
 
@@ -115,7 +111,7 @@ pub struct SstDecodeStats {
     /// Frames decoded (CRC-verified) on any read path.
     pub blocks_decoded: AtomicU64,
     /// Frames whose payload was actually decompressed (stored frames
-    /// and legacy raw blocks don't count).
+    /// don't count).
     pub blocks_decompressed: AtomicU64,
     /// Frames that failed CRC/decode — surfaced as per-slot
     /// [`Error::Corruption`].
@@ -235,7 +231,7 @@ pub fn write_sstable_with_stats(
     let filter_off = data.len() as u64;
     let index_off = filter_off + filter.len() as u64;
 
-    let mut footer = Vec::with_capacity(FOOTER2_LEN);
+    let mut footer = Vec::with_capacity(FOOTER_LEN);
     footer.extend_from_slice(&dict_off.to_le_bytes());
     footer.extend_from_slice(&(dict_payload.len() as u32).to_le_bytes());
     footer.push(config.codec.tag());
@@ -246,7 +242,7 @@ pub fn write_sstable_with_stats(
     footer.extend_from_slice(&entry_count.to_le_bytes());
     let crc = crc32(&footer);
     footer.extend_from_slice(&crc.to_le_bytes());
-    footer.extend_from_slice(&MAGIC2.to_le_bytes());
+    footer.extend_from_slice(&FOOTER_MAGIC.to_le_bytes());
 
     let tmp = path.with_extension("tmp");
     let written = (|| -> Result<()> {
@@ -267,7 +263,7 @@ pub fn write_sstable_with_stats(
         return Err(e);
     }
 
-    let file_size = (data.len() + filter.len() + index.len() + FOOTER2_LEN) as u64;
+    let file_size = (data.len() + filter.len() + index.len() + FOOTER_LEN) as u64;
     let meta = SstMeta {
         id,
         path: path.to_path_buf(),
@@ -283,33 +279,6 @@ struct IndexEntry {
     first_key: Key,
     offset: u64,
     len: u32,
-}
-
-/// One fetched data block, possibly a window into a larger coalesced
-/// span read shared (refcounted, copy-free) with its neighbor blocks.
-/// For framed tables the buffer owns the *decompressed* bytes.
-#[derive(Debug, Clone)]
-pub struct BlockBuf {
-    span: std::sync::Arc<Vec<u8>>,
-    start: usize,
-    end: usize,
-}
-
-impl BlockBuf {
-    /// Wraps a single-block buffer (the inline read path).
-    pub fn from_vec(buf: Vec<u8>) -> Self {
-        let end = buf.len();
-        Self {
-            span: std::sync::Arc::new(buf),
-            start: 0,
-            end,
-        }
-    }
-
-    /// The block's bytes.
-    pub fn as_slice(&self) -> &[u8] {
-        &self.span[self.start..self.end]
-    }
 }
 
 /// An open SSTable: sparse index + bloom filter in memory, data on disk.
@@ -329,9 +298,6 @@ pub struct SstReader {
     index: Vec<IndexEntry>,
     bloom: BloomFilter,
     pub meta: SstMeta,
-    /// Format gate: `true` for framed (v2) tables, `false` for legacy
-    /// raw-block (v1) tables that predate compression.
-    framed: bool,
     codec_state: BlockCodecState,
     decode_stats: Arc<SstDecodeStats>,
 }
@@ -342,99 +308,49 @@ impl SstReader {
         Self::open_shared(meta, Arc::new(SstDecodeStats::default()))
     }
 
-    /// Opens and validates a table written by [`write_sstable`] (either
-    /// format), recording decode activity into `decode_stats` (one
-    /// engine shares a single stats instance across all its tables).
+    /// Opens and validates a table written by [`write_sstable`],
+    /// recording decode activity into `decode_stats` (one engine shares
+    /// a single stats instance across all its tables).
     pub fn open_shared(meta: SstMeta, decode_stats: Arc<SstDecodeStats>) -> Result<Self> {
         let mut file = File::open(&meta.path)?;
         let file_len = file.metadata()?.len();
         if file_len < FOOTER_LEN as u64 {
             return Err(Error::Corruption("sstable shorter than footer".into()));
         }
-        let mut magic_bytes = [0u8; 4];
-        file.seek(SeekFrom::End(-4))?;
-        file.read_exact(&mut magic_bytes)?;
-        let magic = u32::from_le_bytes(magic_bytes);
-
-        let (framed, dict_off, dict_len, index_off, index_len, filter_off, filter_len) = match magic
+        let mut footer = vec![0u8; FOOTER_LEN];
+        file.seek(SeekFrom::End(-(FOOTER_LEN as i64)))?;
+        file.read_exact(&mut footer)?;
+        let magic = u32::from_le_bytes(footer[FOOTER_LEN - 4..].try_into().unwrap());
+        if magic != FOOTER_MAGIC {
+            return Err(Error::Corruption("bad sstable magic".into()));
+        }
+        let stored_crc =
+            u32::from_le_bytes(footer[FOOTER_LEN - 8..FOOTER_LEN - 4].try_into().unwrap());
+        if crc32(&footer[..FOOTER_LEN - 8]) != stored_crc {
+            return Err(Error::Corruption("sstable footer crc mismatch".into()));
+        }
+        let dict_off = u64::from_le_bytes(footer[0..8].try_into().unwrap());
+        let dict_len = u32::from_le_bytes(footer[8..12].try_into().unwrap()) as usize;
+        let codec_tag = footer[12];
+        let index_off = u64::from_le_bytes(footer[13..21].try_into().unwrap());
+        let index_len = u32::from_le_bytes(footer[21..25].try_into().unwrap()) as usize;
+        let filter_off = u64::from_le_bytes(footer[25..33].try_into().unwrap());
+        let filter_len = u32::from_le_bytes(footer[33..37].try_into().unwrap()) as usize;
+        let codec = BlockCodec::from_tag(codec_tag)
+            .ok_or_else(|| Error::Corruption(format!("unknown sstable codec tag {codec_tag}")))?;
+        if index_off + index_len as u64 + FOOTER_LEN as u64 != file_len
+            || dict_off + dict_len as u64 != filter_off
+            || filter_off + filter_len as u64 != index_off
         {
-            MAGIC2 => {
-                if file_len < FOOTER2_LEN as u64 {
-                    return Err(Error::Corruption("sstable shorter than footer".into()));
-                }
-                let mut footer = vec![0u8; FOOTER2_LEN];
-                file.seek(SeekFrom::End(-(FOOTER2_LEN as i64)))?;
-                file.read_exact(&mut footer)?;
-                let stored_crc = u32::from_le_bytes(
-                    footer[FOOTER2_LEN - 8..FOOTER2_LEN - 4].try_into().unwrap(),
-                );
-                if crc32(&footer[..FOOTER2_LEN - 8]) != stored_crc {
-                    return Err(Error::Corruption("sstable footer crc mismatch".into()));
-                }
-                let dict_off = u64::from_le_bytes(footer[0..8].try_into().unwrap());
-                let dict_len = u32::from_le_bytes(footer[8..12].try_into().unwrap()) as usize;
-                let codec_tag = footer[12];
-                let index_off = u64::from_le_bytes(footer[13..21].try_into().unwrap());
-                let index_len = u32::from_le_bytes(footer[21..25].try_into().unwrap()) as usize;
-                let filter_off = u64::from_le_bytes(footer[25..33].try_into().unwrap());
-                let filter_len = u32::from_le_bytes(footer[33..37].try_into().unwrap()) as usize;
-                if BlockCodec::from_tag(codec_tag).is_none() {
-                    return Err(Error::Corruption(format!(
-                        "unknown sstable codec tag {codec_tag}"
-                    )));
-                }
-                if index_off + index_len as u64 + FOOTER2_LEN as u64 != file_len
-                    || dict_off + dict_len as u64 != filter_off
-                    || filter_off + filter_len as u64 != index_off
-                {
-                    return Err(Error::Corruption(
-                        "sstable section offsets inconsistent".into(),
-                    ));
-                }
-                (
-                    true, dict_off, dict_len, index_off, index_len, filter_off, filter_len,
-                )
-            }
-            MAGIC => {
-                // Legacy pre-compression table: raw blocks, no dict.
-                let mut footer = vec![0u8; FOOTER_LEN];
-                file.seek(SeekFrom::End(-(FOOTER_LEN as i64)))?;
-                file.read_exact(&mut footer)?;
-                let stored_crc =
-                    u32::from_le_bytes(footer[FOOTER_LEN - 8..FOOTER_LEN - 4].try_into().unwrap());
-                if crc32(&footer[..FOOTER_LEN - 8]) != stored_crc {
-                    return Err(Error::Corruption("sstable footer crc mismatch".into()));
-                }
-                let index_off = u64::from_le_bytes(footer[0..8].try_into().unwrap());
-                let index_len = u32::from_le_bytes(footer[8..12].try_into().unwrap()) as usize;
-                let filter_off = u64::from_le_bytes(footer[12..20].try_into().unwrap());
-                let filter_len = u32::from_le_bytes(footer[20..24].try_into().unwrap()) as usize;
-                if index_off + index_len as u64 + FOOTER_LEN as u64 != file_len {
-                    return Err(Error::Corruption(
-                        "sstable section offsets inconsistent".into(),
-                    ));
-                }
-                (false, 0, 0, index_off, index_len, filter_off, filter_len)
-            }
-            _ => return Err(Error::Corruption("bad sstable magic".into())),
-        };
+            return Err(Error::Corruption(
+                "sstable section offsets inconsistent".into(),
+            ));
+        }
 
-        let codec_state = if framed {
-            let codec_tag = {
-                // Re-read the codec byte via the validated footer copy.
-                let mut footer = vec![0u8; FOOTER2_LEN];
-                file.seek(SeekFrom::End(-(FOOTER2_LEN as i64)))?;
-                file.read_exact(&mut footer)?;
-                footer[12]
-            };
-            let codec = BlockCodec::from_tag(codec_tag).expect("validated above");
-            let mut dict_payload = vec![0u8; dict_len];
-            file.seek(SeekFrom::Start(dict_off))?;
-            file.read_exact(&mut dict_payload)?;
-            BlockCodecState::from_dict_payload(codec, &dict_payload)?
-        } else {
-            BlockCodecState::default()
-        };
+        let mut dict_payload = vec![0u8; dict_len];
+        file.seek(SeekFrom::Start(dict_off))?;
+        file.read_exact(&mut dict_payload)?;
+        let codec_state = BlockCodecState::from_dict_payload(codec, &dict_payload)?;
 
         let mut filter_bytes = vec![0u8; filter_len];
         file.seek(SeekFrom::Start(filter_off))?;
@@ -472,25 +388,14 @@ impl SstReader {
             index,
             bloom,
             meta,
-            framed,
             codec_state,
             decode_stats,
         })
     }
 
-    /// The table's block codec (`None` for legacy tables).
+    /// The table's block codec.
     pub fn codec(&self) -> BlockCodec {
         self.codec_state.codec()
-    }
-
-    /// Point lookup. `None` means "not in this table"; a tombstone is
-    /// reported as `Some(Entry::Tombstone)` so callers stop searching
-    /// older tables.
-    pub fn get(&self, key: &Key) -> Result<Option<Entry>> {
-        match self.locate(key) {
-            Some(block_idx) => find_in_block(&self.read_block(block_idx)?, key),
-            None => Ok(None),
-        }
     }
 
     /// Index of the one data block that could hold `key`, or `None`
@@ -551,13 +456,7 @@ impl SstReader {
     pub fn scan(&self) -> Result<Vec<(Key, Entry)>> {
         let mut out = Vec::with_capacity(self.meta.entry_count as usize);
         for i in 0..self.index.len() {
-            let block = self.read_block(i)?;
-            let mut pos = 0usize;
-            while pos < block.len() {
-                let (k, entry, next) = decode_entry(&block, pos)?;
-                out.push((k, entry));
-                pos = next;
-            }
+            out.extend(decode_block(&self.read_block(i)?)?);
         }
         Ok(out)
     }
@@ -574,36 +473,28 @@ impl SstReader {
     /// length), so it surfaces as the same [`Error::Corruption`] a real
     /// torn or rotted block would — on either completion pass.
     pub fn read_block_marked(&self, idx: usize, corrupt: bool) -> Result<Vec<u8>> {
-        let raw = self.read_raw_block(idx)?;
-        self.decode(raw, corrupt)
-    }
-
-    /// The on-disk bytes of block `idx` (frame or legacy raw block).
-    fn read_raw_block(&self, idx: usize) -> Result<Vec<u8>> {
         let e = &self.index[idx];
-        let mut buf = vec![0u8; e.len as usize];
-        self.read_at(&mut buf, e.offset)?;
-        Ok(buf)
+        let mut frame = vec![0u8; e.len as usize];
+        self.read_at(&mut frame, e.offset)?;
+        self.decode(&frame, corrupt)
     }
 
     /// Decodes one fetched frame, tracking decode/decompression/error
     /// counters and the decompression latency histogram.
-    fn decode(&self, raw: Vec<u8>, corrupt: bool) -> Result<Vec<u8>> {
-        if !self.framed {
-            // Legacy table: no frame to verify. A corruption mark still
-            // must fail the slot deterministically.
-            if corrupt {
-                return Err(Error::Corruption("sstable block marked corrupt".into()));
-            }
-            return Ok(raw);
-        }
-        let frame = if corrupt { mangle_frame(&raw) } else { raw };
+    fn decode(&self, frame: &[u8], corrupt: bool) -> Result<Vec<u8>> {
+        let mangled;
+        let frame = if corrupt {
+            mangled = mangle_frame(frame);
+            &mangled
+        } else {
+            frame
+        };
         self.decode_stats
             .blocks_decoded
             .fetch_add(1, Ordering::Relaxed);
         let compressed = frame.first().is_some_and(|&tag| tag != FRAME_TAG_STORED);
         let t0 = tb_obs::start();
-        let out = self.codec_state.decode_frame(&frame);
+        let out = self.codec_state.decode_frame(frame);
         match &out {
             Ok(_) if compressed => {
                 tb_obs::histo!("lsm_block_decompress_ns").record_since(t0);
@@ -630,11 +521,9 @@ impl SstReader {
     /// `first`. The on-disk frames are laid out back-to-back, so the
     /// whole run is fetched with one positional read of the span (the
     /// buffered stand-in for one io_uring SQE chain); each frame is
-    /// then decoded by the claiming thread. Returns one [`BlockBuf`]
-    /// per block, aligned with `first..first + count`. Legacy tables
-    /// share the single span allocation copy-free; framed tables own
-    /// their decompressed bytes.
-    pub fn read_blocks(&self, first: usize, count: usize) -> Result<Vec<BlockBuf>> {
+    /// then decoded by the claiming thread. Returns each block's
+    /// decoded bytes, aligned with `first..first + count`.
+    pub fn read_blocks(&self, first: usize, count: usize) -> Result<Vec<Vec<u8>>> {
         self.read_blocks_marked(first, count, &[])
             .into_iter()
             .collect()
@@ -649,56 +538,34 @@ impl SstReader {
         first: usize,
         count: usize,
         corrupt: &[bool],
-    ) -> Vec<Result<BlockBuf>> {
+    ) -> Vec<Result<Vec<u8>>> {
         debug_assert!(count > 0 && first + count <= self.index.len());
         debug_assert!(corrupt.is_empty() || corrupt.len() == count);
         let marked = |i: usize| corrupt.get(i).copied().unwrap_or(false);
-        if count == 1 {
-            return vec![self
-                .read_block_marked(first, marked(0))
-                .map(BlockBuf::from_vec)];
-        }
         let run = &self.index[first..first + count];
-        let span: u64 = run.iter().map(|e| e.len as u64).sum();
         let contiguous = run
             .windows(2)
             .all(|w| w[0].offset + w[0].len as u64 == w[1].offset);
         if !contiguous {
             // Defensive: a gap in the layout falls back to block reads.
             return (0..count)
-                .map(|i| {
-                    self.read_block_marked(first + i, marked(i))
-                        .map(BlockBuf::from_vec)
-                })
+                .map(|i| self.read_block_marked(first + i, marked(i)))
                 .collect();
         }
+        let span: u64 = run.iter().map(|e| e.len as u64).sum();
         let mut buf = vec![0u8; span as usize];
         if let Err(e) = self.read_at(&mut buf, run[0].offset) {
             return (0..count).map(|_| Err(e.clone())).collect();
         }
-        if !self.framed && corrupt.iter().all(|&c| !c) {
-            // Legacy fast path: raw blocks window into the shared span.
-            let span = std::sync::Arc::new(buf);
-            let mut out = Vec::with_capacity(count);
-            let mut pos = 0usize;
-            for e in run {
-                out.push(Ok(BlockBuf {
-                    span: span.clone(),
-                    start: pos,
-                    end: pos + e.len as usize,
-                }));
-                pos += e.len as usize;
-            }
-            return out;
-        }
-        let mut out = Vec::with_capacity(count);
         let mut pos = 0usize;
-        for (i, e) in run.iter().enumerate() {
-            let frame = buf[pos..pos + e.len as usize].to_vec();
-            pos += e.len as usize;
-            out.push(self.decode(frame, marked(i)).map(BlockBuf::from_vec));
-        }
-        out
+        run.iter()
+            .enumerate()
+            .map(|(i, e)| {
+                let frame = &buf[pos..pos + e.len as usize];
+                pos += e.len as usize;
+                self.decode(frame, marked(i))
+            })
+            .collect()
     }
 
     #[cfg(unix)]
@@ -764,99 +631,6 @@ fn mangle_frame(frame: &[u8]) -> Vec<u8> {
         }
     }
     bad
-}
-
-/// Writes the legacy (pre-compression, raw-block) v1 format — kept so
-/// the compatibility gate stays exercised: a table written before the
-/// framed format must open and read correctly through today's reader.
-#[cfg(test)]
-pub(crate) fn write_sstable_v1_for_tests(
-    id: u64,
-    path: &Path,
-    entries: impl Iterator<Item = (Key, Entry)>,
-    config: &SstConfig,
-) -> Result<SstMeta> {
-    let mut data = Vec::new();
-    let mut index = Vec::new();
-    let mut filter_items: Vec<Key> = Vec::new();
-    let mut block_start = 0usize;
-    let mut block_first_key: Option<Key> = None;
-    let mut min_key: Option<Key> = None;
-    let mut max_key: Option<Key> = None;
-    let mut entry_count = 0u32;
-
-    let finish_block = |index: &mut Vec<u8>, first: &Key, start: usize, end: usize| {
-        write_varint(index, first.len() as u64);
-        index.extend_from_slice(first.as_slice());
-        index.extend_from_slice(&(start as u64).to_le_bytes());
-        index.extend_from_slice(&((end - start) as u32).to_le_bytes());
-    };
-
-    for (key, entry) in entries {
-        if block_first_key.is_none() {
-            block_first_key = Some(key.clone());
-        }
-        match &entry {
-            Entry::Put(v) => {
-                data.push(FLAG_PUT);
-                write_varint(&mut data, key.len() as u64);
-                write_varint(&mut data, v.len() as u64);
-                data.extend_from_slice(key.as_slice());
-                data.extend_from_slice(v.as_slice());
-            }
-            Entry::Tombstone => {
-                data.push(FLAG_TOMBSTONE);
-                write_varint(&mut data, key.len() as u64);
-                write_varint(&mut data, 0);
-                data.extend_from_slice(key.as_slice());
-            }
-        }
-        filter_items.push(key.clone());
-        min_key.get_or_insert_with(|| key.clone());
-        max_key = Some(key.clone());
-        entry_count += 1;
-        if data.len() - block_start >= config.block_size {
-            let first = block_first_key.take().expect("block has a first key");
-            finish_block(&mut index, &first, block_start, data.len());
-            block_start = data.len();
-        }
-    }
-    if let Some(first) = block_first_key.take() {
-        finish_block(&mut index, &first, block_start, data.len());
-    }
-
-    let mut bloom = BloomFilter::new(filter_items.len(), config.bloom_bits_per_key);
-    for k in &filter_items {
-        bloom.insert(k.as_slice());
-    }
-    let filter = bloom.to_bytes();
-    let filter_off = data.len() as u64;
-    let index_off = filter_off + filter.len() as u64;
-
-    let mut footer = Vec::with_capacity(FOOTER_LEN);
-    footer.extend_from_slice(&index_off.to_le_bytes());
-    footer.extend_from_slice(&(index.len() as u32).to_le_bytes());
-    footer.extend_from_slice(&filter_off.to_le_bytes());
-    footer.extend_from_slice(&(filter.len() as u32).to_le_bytes());
-    footer.extend_from_slice(&entry_count.to_le_bytes());
-    let crc = crc32(&footer);
-    footer.extend_from_slice(&crc.to_le_bytes());
-    footer.extend_from_slice(&MAGIC.to_le_bytes());
-
-    let mut bytes = data;
-    bytes.extend_from_slice(&filter);
-    bytes.extend_from_slice(&index);
-    bytes.extend_from_slice(&footer);
-    let file_size = bytes.len() as u64;
-    std::fs::write(path, &bytes)?;
-    Ok(SstMeta {
-        id,
-        path: path.to_path_buf(),
-        min_key: min_key.expect("non-empty"),
-        max_key: max_key.expect("non-empty"),
-        entry_count,
-        file_size,
-    })
 }
 
 /// Decodes every entry of a data block in key order (a range scan's
@@ -937,6 +711,15 @@ mod tests {
             .collect()
     }
 
+    /// Point lookup split the way the engine's batched read path does
+    /// it: locate the block in memory, read it, search it.
+    fn get(r: &SstReader, key: &Key) -> Result<Option<Entry>> {
+        match r.locate(key) {
+            Some(idx) => find_in_block(&r.read_block(idx)?, key),
+            None => Ok(None),
+        }
+    }
+
     fn build(name: &str, entries: Vec<(Key, Entry)>) -> (tb_common::TestDir, SstReader) {
         let dir = tmpdir();
         let path = dir.create().join(name);
@@ -958,7 +741,7 @@ mod tests {
         let (_dir, r) = build("basic.sst", entries.clone());
         assert_eq!(r.meta.entry_count, 500);
         for (k, e) in &entries {
-            let got = r.get(k).unwrap();
+            let got = get(&r, k).unwrap();
             assert_eq!(got.as_ref(), Some(e), "key {k:?}");
         }
     }
@@ -966,10 +749,10 @@ mod tests {
     #[test]
     fn absent_keys_return_none() {
         let (_dir, r) = build("absent.sst", sample_entries(100));
-        assert_eq!(r.get(&Key::from("nope")).unwrap(), None);
-        assert_eq!(r.get(&Key::from("key-000000a")).unwrap(), None);
-        assert_eq!(r.get(&Key::from("zzz")).unwrap(), None);
-        assert_eq!(r.get(&Key::from("")).unwrap(), None);
+        assert_eq!(get(&r, &Key::from("nope")).unwrap(), None);
+        assert_eq!(get(&r, &Key::from("key-000000a")).unwrap(), None);
+        assert_eq!(get(&r, &Key::from("zzz")).unwrap(), None);
+        assert_eq!(get(&r, &Key::from("")).unwrap(), None);
     }
 
     #[test]
@@ -1063,7 +846,7 @@ mod tests {
             r.index.len()
         );
         for (k, e) in &entries {
-            assert_eq!(r.get(k).unwrap().as_ref(), Some(e));
+            assert_eq!(get(&r, k).unwrap().as_ref(), Some(e));
         }
     }
 
@@ -1074,7 +857,7 @@ mod tests {
             vec![(Key::from("only"), Entry::Put(Value::from("one")))],
         );
         assert_eq!(
-            r.get(&Key::from("only")).unwrap(),
+            get(&r, &Key::from("only")).unwrap(),
             Some(Entry::Put(Value::from("one")))
         );
         assert_eq!(r.meta.min_key, r.meta.max_key);
@@ -1178,7 +961,7 @@ mod tests {
                 s.spawn(move || {
                     for (i, (k, e)) in entries.iter().enumerate() {
                         if i % 4 == t {
-                            assert_eq!(r.get(k).unwrap().as_ref(), Some(e), "key {k:?}");
+                            assert_eq!(get(&r, k).unwrap().as_ref(), Some(e), "key {k:?}");
                         }
                     }
                 });
@@ -1204,7 +987,7 @@ mod tests {
             assert_eq!(r.scan().unwrap(), entries, "codec {}", codec.name());
             for (k, e) in &entries {
                 assert_eq!(
-                    r.get(k).unwrap().as_ref(),
+                    get(&r, k).unwrap().as_ref(),
                     Some(e),
                     "codec {}",
                     codec.name()
@@ -1295,37 +1078,23 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_table_opens_and_reads() {
-        // The compatibility gate: a pre-refactor (raw-block, MAGIC v1)
-        // table opens and serves every read path post-refactor.
+    fn pre_frame_table_is_rejected_at_open() {
+        // Tables without the framed footer magic (the pre-compression
+        // raw-block format among them) fail open as corruption.
         let dir = tmpdir();
-        let path = dir.create().join("legacy.sst");
-        let entries = sample_entries(300);
-        let meta = write_sstable_v1_for_tests(
-            7,
+        let path = dir.create().join("preframe.sst");
+        let meta = write_sstable(
+            1,
             &path,
-            entries.clone().into_iter(),
-            &cfg(128, BlockCodec::None),
+            sample_entries(50).into_iter(),
+            &SstConfig::default(),
         )
         .unwrap();
-        let r = SstReader::open(meta).unwrap();
-        assert!(!r.framed, "v1 table must take the legacy read path");
-        assert_eq!(r.codec(), BlockCodec::None);
-        assert_eq!(r.scan().unwrap(), entries);
-        for (k, e) in &entries {
-            assert_eq!(r.get(k).unwrap().as_ref(), Some(e), "key {k:?}");
-        }
-        // Span reads (the pooled path) work and match block reads.
-        let blocks = r.block_count();
-        assert!(blocks > 5);
-        let spans = r.read_blocks(0, blocks).unwrap();
-        for (i, span) in spans.iter().enumerate() {
-            assert_eq!(span.as_slice(), r.read_block(i).unwrap().as_slice());
-        }
-        // No frame decode happened — legacy blocks are raw.
-        assert_eq!(r.decode_stats.blocks_decoded.load(Ordering::Relaxed), 0);
-        // Marked corruption still fails per-slot on legacy tables.
-        assert!(r.read_block_marked(0, true).is_err());
+        let mut bytes = std::fs::read(&path).unwrap();
+        let n = bytes.len();
+        bytes[n - 4..].copy_from_slice(&0x7b5d_57a1u32.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(matches!(SstReader::open(meta), Err(Error::Corruption(_))));
     }
 
     #[test]

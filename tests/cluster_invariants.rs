@@ -10,34 +10,7 @@ use tierbase::common::fault::{self, FaultMode};
 use tierbase::common::{Lsn, SLOT_COUNT};
 use tierbase::prelude::*;
 
-// A tiny engine for cluster property tests (fast, deterministic).
-struct MapEngine(std::sync::Mutex<BTreeMap<Key, Value>>);
-
-impl MapEngine {
-    fn shared() -> Arc<dyn KvEngine> {
-        Arc::new(Self(std::sync::Mutex::new(BTreeMap::new())))
-    }
-}
-
-impl KvEngine for MapEngine {
-    fn get(&self, key: &Key) -> Result<Option<Value>> {
-        Ok(self.0.lock().unwrap().get(key).cloned())
-    }
-    fn put(&self, key: Key, value: Value) -> Result<()> {
-        self.0.lock().unwrap().insert(key, value);
-        Ok(())
-    }
-    fn delete(&self, key: &Key) -> Result<()> {
-        self.0.lock().unwrap().remove(key);
-        Ok(())
-    }
-    fn resident_bytes(&self) -> u64 {
-        0
-    }
-    fn label(&self) -> String {
-        "map".into()
-    }
-}
+use tierbase::common::testutil::MapEngine;
 
 type DeleteHook = Box<dyn Fn(&Key) + Send + Sync>;
 
