@@ -48,7 +48,7 @@ fn main() {
 
         let r = drive_pipelined(&fe, &run, 8);
         report.add_pipeline(label, &r);
-        let snap = fe.stats().snapshot();
+        let snap = fe.stats_snapshot();
         rows.push(vec![
             label.to_string(),
             format!("{:.1}", r.qps / 1000.0),

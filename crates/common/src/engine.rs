@@ -107,6 +107,55 @@ pub enum OpOutcome {
     Done(Lsn),
 }
 
+impl OpOutcome {
+    /// The completion of a one-op batch; an empty completion list is an
+    /// engine bug, reported as [`Error::Internal`](crate::Error::Internal).
+    pub fn of_one(mut results: Vec<Result<OpOutcome>>) -> Result<OpOutcome> {
+        results.pop().unwrap_or_else(|| {
+            Err(crate::Error::Internal(
+                "batch of one completed nothing".into(),
+            ))
+        })
+    }
+
+    /// The value of a `Get`; any other outcome is an internal error.
+    pub fn into_value(self) -> Result<Option<Value>> {
+        match self {
+            OpOutcome::Value(v) => Ok(v),
+            other => Err(mismatch("get", other)),
+        }
+    }
+
+    /// The values of a `MultiGet`; any other outcome is an internal error.
+    pub fn into_values(self) -> Result<Vec<Option<Value>>> {
+        match self {
+            OpOutcome::Values(values) => Ok(values),
+            other => Err(mismatch("multi_get", other)),
+        }
+    }
+
+    /// The rows of a `Scan`; any other outcome is an internal error.
+    pub fn into_range(self) -> Result<Vec<(Key, Value)>> {
+        match self {
+            OpOutcome::Range(rows) => Ok(rows),
+            other => Err(mismatch("scan", other)),
+        }
+    }
+
+    /// The LSN of an acknowledged write; any other outcome is an
+    /// internal error.
+    pub fn into_done(self) -> Result<Lsn> {
+        match self {
+            OpOutcome::Done(lsn) => Ok(lsn),
+            other => Err(mismatch("write", other)),
+        }
+    }
+}
+
+fn mismatch(op: &str, other: OpOutcome) -> crate::Error {
+    crate::Error::Internal(format!("{op} resolved to {other:?}"))
+}
+
 /// Read-amplification counters of an engine's batched read path.
 /// Engines without a native batch path report zeros.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -183,28 +232,15 @@ pub trait KvEngine: Send + Sync {
     /// block reads, one remote round-trip) serves `multi_get` through it
     /// automatically.
     fn multi_get(&self, keys: &[Key]) -> Result<Vec<Option<Value>>> {
-        match self
-            .apply_batch(vec![EngineOp::MultiGet(keys.to_vec())])
-            .pop()
-        {
-            Some(Ok(OpOutcome::Values(values))) => Ok(values),
-            Some(Err(e)) => Err(e),
-            other => Err(crate::Error::Internal(format!(
-                "multi_get batch resolved to {other:?}"
-            ))),
-        }
+        OpOutcome::of_one(self.apply_batch(vec![EngineOp::MultiGet(keys.to_vec())]))?.into_values()
     }
 
     /// Batched writes. Default: one [`KvEngine::apply_batch`]
     /// submission, same canonical path as `multi_get`.
     fn multi_put(&self, pairs: Vec<(Key, Value)>) -> Result<()> {
-        match self.apply_batch(vec![EngineOp::MultiPut(pairs)]).pop() {
-            Some(Ok(OpOutcome::Done(_))) => Ok(()),
-            Some(Err(e)) => Err(e),
-            other => Err(crate::Error::Internal(format!(
-                "multi_put batch resolved to {other:?}"
-            ))),
-        }
+        OpOutcome::of_one(self.apply_batch(vec![EngineOp::MultiPut(pairs)]))?
+            .into_done()
+            .map(|_| ())
     }
 
     /// Ordered range scan. Contract (enforced by the conformance
@@ -225,13 +261,7 @@ pub trait KvEngine: Send + Sync {
             end: end.cloned(),
             limit,
         };
-        match self.apply_batch(vec![op]).pop() {
-            Some(Ok(OpOutcome::Range(entries))) => Ok(entries),
-            Some(Err(e)) => Err(e),
-            other => Err(crate::Error::Internal(format!(
-                "scan batch resolved to {other:?}"
-            ))),
-        }
+        OpOutcome::of_one(self.apply_batch(vec![op]))?.into_range()
     }
 
     /// Submits a heterogeneous op batch and returns one completion per

@@ -1,7 +1,7 @@
 //! The pipelined request front-end.
 //!
 //! One [`Frontend`] sits between many client threads and a single
-//! [`KvEngine`]. Requests hash to a shard (the cluster routing hash,
+//! [`KvEngine`]. [`EngineOp`]s hash to a shard (the cluster routing hash,
 //! [`slot_for_key`]), enter that shard's bounded submission queue, and
 //! are drained in batches by the shard's worker, which:
 //!
@@ -29,7 +29,7 @@
 
 use crate::queue::{PushRefused, SubmitQueue};
 use crate::stats::{FrontendStats, FrontendStatsSnapshot};
-use crate::ticket::{gather, gather_all, ticket, Completer, Response, Ticket};
+use crate::ticket::{gather, gather_all, ticket, Completer, Ticket};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -43,50 +43,8 @@ use tb_elastic::ElasticConfig;
 /// How long an idle worker parks between queue polls.
 const DRAIN_WAIT: Duration = Duration::from_millis(5);
 
-/// One operation submitted to the front-end.
-#[derive(Debug, Clone)]
-pub enum Request {
-    Get(Key),
-    Put(Key, Value),
-    Delete(Key),
-    /// Batched lookups for one shard; the response aligns with key order.
-    MultiGet(Vec<Key>),
-    /// Batched writes for one shard.
-    MultiPut(Vec<(Key, Value)>),
-    Cas {
-        key: Key,
-        expected: Option<Value>,
-        new: Value,
-    },
-    /// Ordered range scan (`start <= key < end`, at most `limit` live
-    /// entries). Routes by `start`: all shards front the same engine,
-    /// so any queue serves the full key range — sharding partitions
-    /// the *queues*, not the data.
-    Scan {
-        start: Key,
-        end: Option<Key>,
-        limit: usize,
-    },
-}
-
-impl Request {
-    /// Key that decides the owning shard. Multi-key requests route by
-    /// their first key — [`Frontend::multi_get`]/[`Frontend::multi_put`]
-    /// split by shard before submitting, so worker-visible multi
-    /// requests are single-shard already.
-    fn routing_key(&self) -> Option<&Key> {
-        match self {
-            Request::Get(k) | Request::Put(k, _) | Request::Delete(k) => Some(k),
-            Request::MultiGet(keys) => keys.first(),
-            Request::MultiPut(pairs) => pairs.first().map(|(k, _)| k),
-            Request::Cas { key, .. } => Some(key),
-            Request::Scan { start, .. } => Some(start),
-        }
-    }
-
-    fn is_put_like(&self) -> bool {
-        matches!(self, Request::Put(..) | Request::MultiPut(..))
-    }
+fn is_put_like(op: &EngineOp) -> bool {
+    matches!(op, EngineOp::Put(..) | EngineOp::MultiPut(..))
 }
 
 /// Front-end tuning.
@@ -131,7 +89,7 @@ impl FrontendConfig {
     }
 }
 
-/// Routing decision for one submitted request.
+/// Routing decision for one submitted op.
 enum Route {
     /// Lands whole on one shard's queue.
     Shard(usize),
@@ -140,11 +98,11 @@ enum Route {
     Scatter,
 }
 
-/// One queued request: the op, its ticket's completer, and the
-/// telemetry submit stamp (`None` when telemetry is disabled) — the
+/// One queued op: the op, its ticket's completer, and the telemetry
+/// submit stamp (`None` when telemetry is disabled) — the
 /// stamp yields the queue-wait histogram at drain and the end-to-end
 /// latency histogram at completion.
-type Queued = (Request, Completer, Option<Instant>);
+type Queued = (EngineOp, Completer, Option<Instant>);
 
 struct ShardState {
     queue: SubmitQueue<Queued>,
@@ -247,16 +205,28 @@ impl Frontend {
     /// batched-read counters (block fetches, dedup hits, memtable hits
     /// — zeros for engines without a native batch path).
     pub fn stats_snapshot(&self) -> FrontendStatsSnapshot {
-        let mut snapshot = self.inner.stats.snapshot();
-        snapshot.engine_batch = self.inner.engine.batch_read_stats();
-        snapshot.shard_queue_depths = self.inner.shards.iter().map(|s| s.queue.len()).collect();
-        snapshot.shard_live_workers = self
-            .inner
-            .shards
-            .iter()
-            .map(|s| s.live_workers.load(Ordering::SeqCst))
-            .collect();
-        snapshot
+        let s = &self.inner.stats;
+        let c = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        FrontendStatsSnapshot {
+            submitted: c(&s.submitted),
+            completed: c(&s.completed),
+            batches: c(&s.batches),
+            group_syncs: c(&s.group_syncs),
+            per_op_syncs: c(&s.per_op_syncs),
+            coalesced_puts: c(&s.coalesced_puts),
+            backpressure_rejections: c(&s.backpressure_rejections),
+            boosts: c(&s.boosts),
+            shrinks: c(&s.shrinks),
+            worker_panics: c(&s.worker_panics),
+            shard_queue_depths: self.inner.shards.iter().map(|s| s.queue.len()).collect(),
+            shard_live_workers: self
+                .inner
+                .shards
+                .iter()
+                .map(|s| s.live_workers.load(Ordering::SeqCst))
+                .collect(),
+            engine_batch: self.inner.engine.batch_read_stats(),
+        }
     }
 
     /// Shard a key routes to.
@@ -269,7 +239,7 @@ impl Frontend {
         self.inner.shards[shard].queue.len()
     }
 
-    /// Requests queued across all shards.
+    /// Ops queued across all shards.
     pub fn total_queue_depth(&self) -> usize {
         self.inner.shards.iter().map(|s| s.queue.len()).sum()
     }
@@ -279,19 +249,19 @@ impl Frontend {
         self.inner.shards[shard].live_workers.load(Ordering::SeqCst)
     }
 
-    /// Submits a request, blocking while the target shard queue is
-    /// full — backpressure propagates to the producer. A `MultiGet`
-    /// whose keys span shards is scattered into per-shard sub-batches
-    /// and its ticket gathers the results in key order. A spanning
-    /// `MultiPut` resolves to [`Error::InvalidArgument`]: each shard's
-    /// slice would commit independently (cross-shard write atomicity
-    /// is out of scope; use [`Frontend::multi_put`], which splits by
-    /// shard explicitly).
-    pub fn submit(&self, request: Request) -> Ticket {
-        match self.route(&request) {
-            Ok(Route::Shard(shard)) => self.submit_to(shard, request),
+    /// Submits an op, blocking while the target shard queue is full —
+    /// backpressure propagates to the producer. A `MultiGet` whose keys
+    /// span shards is scattered into per-shard sub-batches and its
+    /// ticket gathers the results in key order. A spanning `MultiPut`
+    /// resolves to [`Error::InvalidArgument`]: each shard's slice would
+    /// commit independently (cross-shard write atomicity is out of
+    /// scope; use [`KvEngine::multi_put`], which splits by shard
+    /// explicitly).
+    pub fn submit(&self, op: EngineOp) -> Ticket {
+        match self.route(&op) {
+            Ok(Route::Shard(shard)) => self.submit_to(shard, op),
             Ok(Route::Scatter) => {
-                let Request::MultiGet(keys) = request else {
+                let EngineOp::MultiGet(keys) = op else {
                     unreachable!("only MultiGet scatters")
                 };
                 let len = keys.len();
@@ -300,7 +270,7 @@ impl Frontend {
                     .into_iter()
                     .enumerate()
                     .filter(|(_, (idx, _))| !idx.is_empty())
-                    .map(|(s, (idx, keys))| (idx, self.submit_to(s, Request::MultiGet(keys))))
+                    .map(|(s, (idx, keys))| (idx, self.submit_to(s, EngineOp::MultiGet(keys))))
                     .collect();
                 gather(parts, len)
             }
@@ -312,18 +282,18 @@ impl Frontend {
         }
     }
 
-    /// Non-blocking submit; a full shard queue sheds the request with
+    /// Non-blocking submit; a full shard queue sheds the op with
     /// [`Error::Backpressure`]. A spanning `MultiGet` scatters like in
     /// [`Frontend::submit`]; if any sub-batch is shed the whole request
     /// reports backpressure (already-queued sub-reads drain harmlessly).
-    pub fn try_submit(&self, request: Request) -> Result<Ticket> {
+    pub fn try_submit(&self, op: EngineOp) -> Result<Ticket> {
         if self.down.load(Ordering::SeqCst) {
             return Err(Error::Unavailable("front-end shut down".into()));
         }
-        match self.route(&request)? {
-            Route::Shard(shard) => self.try_submit_to(shard, request),
+        match self.route(&op)? {
+            Route::Shard(shard) => self.try_submit_to(shard, op),
             Route::Scatter => {
-                let Request::MultiGet(keys) = request else {
+                let EngineOp::MultiGet(keys) = op else {
                     unreachable!("only MultiGet scatters")
                 };
                 let len = keys.len();
@@ -332,18 +302,18 @@ impl Frontend {
                     if idx.is_empty() {
                         continue;
                     }
-                    parts.push((idx, self.try_submit_to(s, Request::MultiGet(keys))?));
+                    parts.push((idx, self.try_submit_to(s, EngineOp::MultiGet(keys))?));
                 }
                 Ok(gather(parts, len))
             }
         }
     }
 
-    fn try_submit_to(&self, shard: usize, request: Request) -> Result<Ticket> {
+    fn try_submit_to(&self, shard: usize, op: EngineOp) -> Result<Ticket> {
         let (t, c) = ticket();
         match self.inner.shards[shard]
             .queue
-            .try_push((request, c, tb_obs::start()))
+            .try_push((op, c, tb_obs::start()))
         {
             Ok(()) => {
                 FrontendStats::bump(&self.inner.stats.submitted, 1);
@@ -373,20 +343,25 @@ impl Frontend {
         }
     }
 
-    fn route(&self, request: &Request) -> Result<Route> {
-        match request {
-            Request::MultiGet(keys) => Ok(match self.single_shard_of(keys.iter()) {
-                Ok(shard) => Route::Shard(shard),
+    /// The shard that owns `op`. Worker-visible multi-key ops are
+    /// single-shard: a spanning `MultiGet` scatters, a spanning
+    /// `MultiPut` is refused.
+    fn route(&self, op: &EngineOp) -> Result<Route> {
+        let shard = match op {
+            EngineOp::MultiGet(keys) => {
                 // Reads have no write-ordering to protect: scatter them.
-                Err(_) => Route::Scatter,
-            }),
-            Request::MultiPut(pairs) => self
-                .single_shard_of(pairs.iter().map(|(k, _)| k))
-                .map(Route::Shard),
-            _ => Ok(Route::Shard(
-                request.routing_key().map(|k| self.shard_of(k)).unwrap_or(0),
-            )),
-        }
+                let shard = self.single_shard_of(keys.iter());
+                return Ok(shard.map_or(Route::Scatter, Route::Shard));
+            }
+            EngineOp::MultiPut(pairs) => self.single_shard_of(pairs.iter().map(|(k, _)| k))?,
+            EngineOp::Get(k) | EngineOp::Put(k, _) | EngineOp::Delete(k) => self.shard_of(k),
+            EngineOp::Cas { key, .. } => self.shard_of(key),
+            // All shards front the same engine, so any queue serves the
+            // full key range: sharding partitions the *queues*, not the
+            // data.
+            EngineOp::Scan { start, .. } => self.shard_of(start),
+        };
+        Ok(Route::Shard(shard))
     }
 
     /// Splits keys into per-shard `(response positions, keys)` buckets.
@@ -401,7 +376,7 @@ impl Frontend {
         per
     }
 
-    /// Common shard of a multi-key request, or `InvalidArgument` when
+    /// Common shard of a multi-key op, or `InvalidArgument` when
     /// the keys span shards.
     fn single_shard_of<'a>(&self, keys: impl Iterator<Item = &'a Key>) -> Result<usize> {
         let mut shard = None;
@@ -420,7 +395,7 @@ impl Frontend {
         Ok(shard.unwrap_or(0))
     }
 
-    fn submit_to(&self, shard: usize, request: Request) -> Ticket {
+    fn submit_to(&self, shard: usize, op: EngineOp) -> Ticket {
         let (t, c) = ticket();
         // Fail fast once shutdown started: producers must stop feeding
         // the queues or the shutdown drain could spin forever.
@@ -430,7 +405,7 @@ impl Frontend {
         }
         match self.inner.shards[shard]
             .queue
-            .push((request, c, tb_obs::start()))
+            .push((op, c, tb_obs::start()))
         {
             Ok(()) => FrontendStats::bump(&self.inner.stats.submitted, 1),
             Err((_, c, _)) => c.complete(Err(Error::Unavailable("front-end shut down".into()))),
@@ -438,13 +413,13 @@ impl Frontend {
         t
     }
 
-    /// Waits until every request queued *before* the call has been
+    /// Waits until every op queued *before* the call has been
     /// processed (a barrier per shard). Bounded even under sustained
     /// concurrent submission: it waits only on batches drained up to
     /// its own marker, never on later traffic.
     pub fn barrier(&self) {
         let tickets: Vec<Ticket> = (0..self.inner.shards.len())
-            .map(|s| self.submit_to(s, Request::MultiGet(Vec::new())))
+            .map(|s| self.submit_to(s, EngineOp::MultiGet(Vec::new())))
             .collect();
         let mut targets = Vec::with_capacity(tickets.len());
         for (s, t) in tickets.into_iter().enumerate() {
@@ -463,88 +438,6 @@ impl Frontend {
         }
     }
 
-    // --- synchronous conveniences -----------------------------------
-
-    /// Pipelined point lookup, awaited.
-    pub fn get(&self, key: &Key) -> Result<Option<Value>> {
-        match self.submit(Request::Get(key.clone())).wait()? {
-            Response::Value(v) => Ok(v),
-            other => Err(Error::Internal(format!("get resolved to {other:?}"))),
-        }
-    }
-
-    /// Pipelined write, awaited (durable in group-commit mode).
-    pub fn put(&self, key: Key, value: Value) -> Result<()> {
-        self.submit(Request::Put(key, value)).wait().map(|_| ())
-    }
-
-    /// Pipelined delete, awaited.
-    pub fn delete(&self, key: &Key) -> Result<()> {
-        self.submit(Request::Delete(key.clone())).wait().map(|_| ())
-    }
-
-    /// Pipelined compare-and-set, awaited.
-    pub fn cas(&self, key: Key, expected: Option<&Value>, new: Value) -> Result<()> {
-        self.submit(Request::Cas {
-            key,
-            expected: expected.cloned(),
-            new,
-        })
-        .wait()
-        .map(|_| ())
-    }
-
-    /// Batched lookup, awaited: single-shard batches pipeline directly,
-    /// spanning batches scatter per shard and gather in request order
-    /// (the same path as a raw `submit(Request::MultiGet(..))`).
-    pub fn multi_get(&self, keys: &[Key]) -> Result<Vec<Option<Value>>> {
-        match self.submit(Request::MultiGet(keys.to_vec())).wait()? {
-            Response::Values(values) => Ok(values),
-            other => Err(Error::Internal(format!("multi_get resolved to {other:?}"))),
-        }
-    }
-
-    /// Batched write: splits the pairs by shard, pipelines one
-    /// `MultiPut` per shard, awaits all.
-    ///
-    /// # Cross-shard semantics: independent commit, not a transaction
-    ///
-    /// Each per-shard slice commits on its own; there is no cross-shard
-    /// atomicity and no rollback. When one shard fails mid-batch the
-    /// documented (and regression-tested) partial state is:
-    ///
-    /// * every pair routed to a *healthy* shard is applied and durable
-    ///   per that shard's sync policy;
-    /// * the pairs of the *failing* shard follow the engine's error
-    ///   contract for that slice (indeterminate on error — see the
-    ///   LSN/ack contract in `tb_common::engine`);
-    /// * the call reports the first shard error. Callers needing
-    ///   per-pair attribution submit per-shard batches themselves.
-    ///
-    /// The tb-server wire protocol inherits exactly these semantics for
-    /// its `MULTIPUT` frame and never converts a partial failure into
-    /// an all-or-nothing ack: each op in a pipelined burst gets its own
-    /// positional outcome reply.
-    pub fn multi_put(&self, pairs: Vec<(Key, Value)>) -> Result<()> {
-        self.scatter_put(pairs).wait().map(|_| ())
-    }
-
-    /// Pipelined range scan, awaited. One op in its shard's drained
-    /// batch; the result reflects the engine state when that batch ran
-    /// — writes still queued on *other* shards are not yet visible
-    /// (the cross-shard consistency caveat of a sharded front-end).
-    pub fn scan(&self, start: &Key, end: Option<&Key>, limit: usize) -> Result<Vec<(Key, Value)>> {
-        let request = Request::Scan {
-            start: start.clone(),
-            end: end.cloned(),
-            limit,
-        };
-        match self.submit(request).wait()? {
-            Response::Range(rows) => Ok(rows),
-            other => Err(Error::Internal(format!("scan resolved to {other:?}"))),
-        }
-    }
-
     /// Splits a multi-key write by shard and pipelines one `MultiPut`
     /// per shard; the ticket resolves `Done` once every slice acked
     /// (first error wins). Slices commit independently — cross-shard
@@ -559,12 +452,12 @@ impl Frontend {
             .into_iter()
             .enumerate()
             .filter(|(_, p)| !p.is_empty())
-            .map(|(s, p)| self.submit_to(s, Request::MultiPut(p)))
+            .map(|(s, p)| self.submit_to(s, EngineOp::MultiPut(p)))
             .collect();
         if parts.is_empty() {
             // Empty write: resolved on the spot, covering nothing.
             let (t, c) = ticket();
-            c.complete(Ok(Response::Done(Lsn::NONE)));
+            c.complete(Ok(OpOutcome::Done(Lsn::NONE)));
             return t;
         }
         gather_all(parts)
@@ -635,7 +528,7 @@ fn worker_loop(inner: Arc<Inner>, shard_idx: usize) {
             continue;
         }
         // Queue wait: submit stamp → drain. The stamp stays with the
-        // request so completion can record the full end-to-end latency.
+        // op so completion can record the full end-to-end latency.
         if tb_obs::enabled() {
             let waits = tb_obs::histo!("frontend_queue_wait_ns");
             for (_, _, stamp) in &batch {
@@ -666,15 +559,15 @@ fn worker_loop(inner: Arc<Inner>, shard_idx: usize) {
     shard.live_workers.fetch_sub(1, Ordering::SeqCst);
 }
 
-/// A completer still awaiting its result, paired with the request's
+/// A completer still awaiting its result, paired with the op's
 /// telemetry submit stamp (for the end-to-end latency histogram).
 type Pending = (Completer, Option<Instant>);
 
-/// Resolves one request: the completed-counter bump happens *before*
-/// the waiter wakes, so a caller that has awaited all of its tickets
+/// Resolves one op: the completed-counter bump happens *before* the
+/// waiter wakes, so a caller that has awaited all of its tickets
 /// observes `submitted == completed`. `settled` is the per-batch count
 /// the worker uses to reconcile a panic-abandoned batch.
-fn finish(stats: &FrontendStats, settled: &AtomicU64, pending: Pending, result: Result<Response>) {
+fn finish(stats: &FrontendStats, settled: &AtomicU64, pending: Pending, result: Result<OpOutcome>) {
     let (completer, stamp) = pending;
     settled.fetch_add(1, Ordering::SeqCst);
     FrontendStats::bump(&stats.completed, 1);
@@ -683,79 +576,57 @@ fn finish(stats: &FrontendStats, settled: &AtomicU64, pending: Pending, result: 
 }
 
 /// How the completion of one lowered [`EngineOp`] settles back into
-/// request tickets.
+/// tickets.
 enum OpAcks {
-    /// A write op (one request, or a coalesced put-like run): every
+    /// A write op (one queued op, or a coalesced put-like run): every
     /// completer acks together — deferred to the group sync on success.
     Write(Vec<Pending>),
-    /// A `Get` awaiting [`OpOutcome::Value`].
-    Get(Pending),
-    /// A `MultiGet` awaiting [`OpOutcome::Values`].
-    MultiGet(Pending),
-    /// A `Scan` awaiting [`OpOutcome::Range`].
-    Scan(Pending),
+    /// A read, answered with the engine's outcome as is.
+    Read(Pending),
 }
 
 fn process_batch(inner: &Inner, batch: Vec<Queued>, settled: &AtomicU64) {
     FrontendStats::bump(&inner.stats.batches, 1);
     if !inner.config.group_commit {
-        // The per-op-durability baseline: every request is its own
-        // engine call and every write its own sync, on purpose.
         return process_batch_per_op(inner, batch, settled);
     }
     let stats = &inner.stats;
 
     // --- lower the drained batch into one engine submission ----------
     // Adjacent put-likes coalesce into a single MultiPut op (one WAL/
-    // memtable pass, acked together at the group sync); everything else
-    // maps 1:1. `acks[i]` settles `ops[i]`.
+    // memtable pass, acked together at the group sync); every other op
+    // passes through. `acks[i]` settles `ops[i]`.
     let mut ops: Vec<EngineOp> = Vec::with_capacity(batch.len());
     let mut acks: Vec<OpAcks> = Vec::with_capacity(batch.len());
     let mut iter = batch.into_iter().peekable();
-    while let Some((req, c, stamp)) = iter.next() {
+    while let Some((op, c, stamp)) = iter.next() {
         let done = (c, stamp);
-        match req {
-            req @ (Request::Put(..) | Request::MultiPut(..)) => {
-                let mut pairs: Vec<(Key, Value)> = Vec::new();
-                let mut writers: Vec<Pending> = vec![done];
-                let absorb = |req: Request, pairs: &mut Vec<(Key, Value)>| match req {
-                    Request::Put(k, v) => pairs.push((k, v)),
-                    Request::MultiPut(ps) => pairs.extend(ps),
-                    _ => unreachable!("absorb only sees put-like requests"),
-                };
-                absorb(req, &mut pairs);
-                while iter.peek().is_some_and(|(r, _, _)| r.is_put_like()) {
-                    let (r, c, stamp) = iter.next().expect("peeked");
-                    absorb(r, &mut pairs);
-                    writers.push((c, stamp));
-                }
-                if writers.len() > 1 {
-                    FrontendStats::bump(&stats.coalesced_puts, writers.len() as u64);
-                }
-                ops.push(EngineOp::MultiPut(pairs));
-                acks.push(OpAcks::Write(writers));
-            }
-            Request::Delete(key) => {
-                ops.push(EngineOp::Delete(key));
-                acks.push(OpAcks::Write(vec![done]));
-            }
-            Request::Cas { key, expected, new } => {
-                ops.push(EngineOp::Cas { key, expected, new });
-                acks.push(OpAcks::Write(vec![done]));
-            }
-            Request::Get(key) => {
-                ops.push(EngineOp::Get(key));
-                acks.push(OpAcks::Get(done));
-            }
-            Request::MultiGet(keys) => {
-                ops.push(EngineOp::MultiGet(keys));
-                acks.push(OpAcks::MultiGet(done));
-            }
-            Request::Scan { start, end, limit } => {
-                ops.push(EngineOp::Scan { start, end, limit });
-                acks.push(OpAcks::Scan(done));
-            }
+        if !is_put_like(&op) {
+            acks.push(match op {
+                EngineOp::Delete(_) | EngineOp::Cas { .. } => OpAcks::Write(vec![done]),
+                _ => OpAcks::Read(done),
+            });
+            ops.push(op);
+            continue;
         }
+        let mut pairs: Vec<(Key, Value)> = Vec::new();
+        let mut writers: Vec<Pending> = vec![done];
+        let absorb = |op: EngineOp, pairs: &mut Vec<(Key, Value)>| match op {
+            EngineOp::Put(k, v) => pairs.push((k, v)),
+            EngineOp::MultiPut(ps) => pairs.extend(ps),
+            _ => unreachable!("absorb only sees put-like ops"),
+        };
+        absorb(op, &mut pairs);
+        while iter.peek().is_some_and(|(op, _, _)| is_put_like(op)) {
+            let (op, c, stamp) = iter.next().expect("peeked");
+            absorb(op, &mut pairs);
+            writers.push((c, stamp));
+        }
+        if writers.len() > 1 {
+            FrontendStats::bump(&stats.coalesced_puts, writers.len() as u64);
+        }
+        ops.push(EngineOp::MultiPut(pairs));
+        acks.push(OpAcks::Write(writers));
     }
 
     // --- one storage pass for the whole batch -------------------------
@@ -767,115 +638,49 @@ fn process_batch(inner: &Inner, batch: Vec<Queued>, settled: &AtomicU64) {
 
     // --- completion: settle each op's tickets in submission order -----
     let mut unsynced: Vec<(Pending, Lsn)> = Vec::new();
-    let mut dirty = false;
     for (ack, outcome) in acks.into_iter().zip(outcomes) {
         match ack {
-            OpAcks::Write(writers) => match outcome {
-                // Write acks defer to the batch's single sync below,
-                // each carrying the LSN the engine assigned to its op
-                // (coalesced writers share the covering MultiPut LSN).
-                Ok(o) => {
-                    let lsn = match o {
-                        OpOutcome::Done(l) => l,
-                        _ => Lsn::NONE,
-                    };
-                    dirty = true;
-                    unsynced.extend(writers.into_iter().map(|w| (w, lsn)));
-                }
+            // Write acks defer to the batch's single sync below, each
+            // carrying the LSN the engine assigned to its op (coalesced
+            // writers share the covering MultiPut LSN).
+            OpAcks::Write(writers) => match outcome.and_then(OpOutcome::into_done) {
+                Ok(lsn) => unsynced.extend(writers.into_iter().map(|w| (w, lsn))),
                 Err(e) => {
                     for w in writers {
                         finish(stats, settled, w, Err(e.clone()));
                     }
                 }
             },
-            OpAcks::Get(done) => {
-                let result = outcome.and_then(|o| match o {
-                    OpOutcome::Value(v) => Ok(Response::Value(v)),
-                    other => Err(Error::Internal(format!("get completed as {other:?}"))),
-                });
-                finish(stats, settled, done, result);
-            }
-            OpAcks::MultiGet(done) => {
-                let result = outcome.and_then(|o| match o {
-                    OpOutcome::Values(v) => Ok(Response::Values(v)),
-                    other => Err(Error::Internal(format!("multi_get completed as {other:?}"))),
-                });
-                finish(stats, settled, done, result);
-            }
-            OpAcks::Scan(done) => {
-                let result = outcome.and_then(|o| match o {
-                    OpOutcome::Range(rows) => Ok(Response::Range(rows)),
-                    other => Err(Error::Internal(format!("scan completed as {other:?}"))),
-                });
-                finish(stats, settled, done, result);
-            }
+            OpAcks::Read(done) => finish(stats, settled, done, outcome),
         }
     }
 
-    if dirty {
+    if !unsynced.is_empty() {
         // The group commit: one durability point for the whole batch.
         let t0 = tb_obs::start();
         let sync_result = inner.engine.sync();
         tb_obs::histo!("frontend_group_sync_ns").record_since(t0);
         FrontendStats::bump(&stats.group_syncs, 1);
-        for (ack, lsn) in unsynced.drain(..) {
-            finish(
-                stats,
-                settled,
-                ack,
-                sync_result.clone().map(|_| Response::Done(lsn)),
-            );
+        for (ack, lsn) in unsynced {
+            let result = sync_result.clone().map(|_| OpOutcome::Done(lsn));
+            finish(stats, settled, ack, result);
         }
     }
 }
 
-/// The group-commit-disabled baseline: each request is applied and (for
-/// writes) synced individually.
+/// The group-commit-disabled baseline (the per-op-durability cost the
+/// bench compares against): each op is its own one-op engine batch,
+/// and each acknowledged write its own sync.
 fn process_batch_per_op(inner: &Inner, batch: Vec<Queued>, settled: &AtomicU64) {
-    let engine = inner.engine.as_ref();
-    let stats = &inner.stats;
-    let settle_write = |result: Result<()>, done: Pending| match result {
-        Err(e) => finish(stats, settled, done, Err(e)),
-        Ok(()) => {
-            // The engine's applied LSN after a successful write covers
-            // it (the per-op path applies writes one at a time).
-            let lsn = engine.applied_lsn();
-            let synced = engine.sync();
-            FrontendStats::bump(&stats.per_op_syncs, 1);
-            finish(stats, settled, done, synced.map(|_| Response::Done(lsn)));
-        }
-    };
-    for (req, c, stamp) in batch {
-        let done = (c, stamp);
-        match req {
-            Request::Put(key, value) => settle_write(engine.put(key, value), done),
-            Request::MultiPut(pairs) => settle_write(engine.multi_put(pairs), done),
-            Request::Delete(key) => settle_write(engine.delete(&key), done),
-            Request::Cas { key, expected, new } => {
-                settle_write(engine.cas(key, expected.as_ref(), new), done)
+    for (op, c, stamp) in batch {
+        let result = match OpOutcome::of_one(inner.engine.apply_batch(vec![op])) {
+            Ok(OpOutcome::Done(lsn)) => {
+                FrontendStats::bump(&inner.stats.per_op_syncs, 1);
+                inner.engine.sync().map(|_| OpOutcome::Done(lsn))
             }
-            Request::Get(key) => {
-                finish(stats, settled, done, engine.get(&key).map(Response::Value));
-            }
-            Request::MultiGet(keys) => {
-                finish(
-                    stats,
-                    settled,
-                    done,
-                    engine.multi_get(&keys).map(Response::Values),
-                );
-            }
-            Request::Scan { start, end, limit } => {
-                finish(
-                    stats,
-                    settled,
-                    done,
-                    engine
-                        .scan(&start, end.as_ref(), limit)
-                        .map(Response::Range),
-                );
-            }
-        }
+            other => other,
+        };
+        finish(&inner.stats, settled, (c, stamp), result);
     }
 }
 
@@ -909,34 +714,59 @@ fn controller_loop(inner: Arc<Inner>) {
 
 /// The front-end is itself a [`KvEngine`]: synchronous callers (the
 /// replay harness, cluster nodes) drive the pipelined path through the
-/// plain engine interface.
+/// plain engine interface. `multi_get`, `multi_put` and `scan` keep
+/// the trait defaults, which submit one op through
+/// [`Frontend::apply_batch`](KvEngine::apply_batch) to the same
+/// `submit`/`scatter_put` path.
+///
+/// # Cross-shard `multi_put`: independent commit, not a transaction
+///
+/// A multi-key write splits by shard and pipelines one `MultiPut` per
+/// shard. Each per-shard slice commits on its own; there is no
+/// cross-shard atomicity and no rollback. When one shard fails
+/// mid-batch the documented (and regression-tested) partial state is:
+///
+/// * every pair routed to a *healthy* shard is applied and durable per
+///   that shard's sync policy;
+/// * the pairs of the *failing* shard follow the engine's error
+///   contract for that slice (indeterminate on error — see the LSN/ack
+///   contract in `tb_common::engine`);
+/// * the call reports the first shard error. Callers needing per-pair
+///   attribution submit per-shard batches themselves.
+///
+/// The tb-server wire protocol inherits exactly these semantics for its
+/// `MULTIPUT` frame and never converts a partial failure into an
+/// all-or-nothing ack: each op in a pipelined burst gets its own
+/// positional outcome reply.
 impl KvEngine for Frontend {
     fn get(&self, key: &Key) -> Result<Option<Value>> {
-        Frontend::get(self, key)
+        self.submit(EngineOp::Get(key.clone())).wait()?.into_value()
     }
 
+    /// Pipelined write, awaited (durable in group-commit mode).
     fn put(&self, key: Key, value: Value) -> Result<()> {
-        Frontend::put(self, key, value)
+        self.submit(EngineOp::Put(key, value))
+            .wait()?
+            .into_done()
+            .map(|_| ())
     }
 
     fn delete(&self, key: &Key) -> Result<()> {
-        Frontend::delete(self, key)
+        self.submit(EngineOp::Delete(key.clone()))
+            .wait()?
+            .into_done()
+            .map(|_| ())
     }
 
-    fn multi_get(&self, keys: &[Key]) -> Result<Vec<Option<Value>>> {
-        Frontend::multi_get(self, keys)
-    }
-
-    fn multi_put(&self, pairs: Vec<(Key, Value)>) -> Result<()> {
-        Frontend::multi_put(self, pairs)
-    }
-
+    /// One queued `Cas` op, resolved by the engine's own `cas` — the
+    /// trait default would be a racy get-then-put across two batches.
     fn cas(&self, key: Key, expected: Option<&Value>, new: Value) -> Result<()> {
-        Frontend::cas(self, key, expected, new)
-    }
-
-    fn scan(&self, start: &Key, end: Option<&Key>, limit: usize) -> Result<Vec<(Key, Value)>> {
-        Frontend::scan(self, start, end, limit)
+        let op = EngineOp::Cas {
+            key,
+            expected: expected.cloned(),
+            new,
+        };
+        self.submit(op).wait()?.into_done().map(|_| ())
     }
 
     /// Batch submission with the trait's submission-order semantics.
@@ -952,33 +782,16 @@ impl KvEngine for Frontend {
     /// correctness over overlap. Scans barrier the batch either way
     /// (see below).
     fn apply_batch(&self, ops: Vec<EngineOp>) -> Vec<Result<OpOutcome>> {
-        let submit_op = |op: EngineOp| -> Ticket {
+        let submit = |op: EngineOp| -> Ticket {
             match op {
-                // A multi-key write splits by shard (like
-                // `Frontend::multi_put`) — the engine batch contract
-                // accepts arbitrary key sets.
+                // A multi-key write splits by shard — the engine batch
+                // contract accepts arbitrary key sets.
                 EngineOp::MultiPut(pairs) => self.scatter_put(pairs),
-                op => self.submit(match op {
-                    EngineOp::Get(key) => Request::Get(key),
-                    EngineOp::Put(key, value) => Request::Put(key, value),
-                    EngineOp::Delete(key) => Request::Delete(key),
-                    EngineOp::Cas { key, expected, new } => Request::Cas { key, expected, new },
-                    EngineOp::MultiGet(keys) => Request::MultiGet(keys),
-                    EngineOp::Scan { start, end, limit } => Request::Scan { start, end, limit },
-                    EngineOp::MultiPut(_) => unreachable!("handled above"),
-                }),
+                op => self.submit(op),
             }
         };
-        let complete = |t: Ticket| -> Result<OpOutcome> {
-            t.wait().map(|response| match response {
-                Response::Value(v) => OpOutcome::Value(v),
-                Response::Values(v) => OpOutcome::Values(v),
-                Response::Range(rows) => OpOutcome::Range(rows),
-                Response::Done(l) => OpOutcome::Done(l),
-            })
-        };
         if self.inner.config.max_workers_per_shard > 1 {
-            return ops.into_iter().map(|op| complete(submit_op(op))).collect();
+            return ops.into_iter().map(|op| submit(op).wait()).collect();
         }
         // A scan is a cross-shard read: unlike MultiGet/MultiPut it
         // cannot scatter along per-shard FIFO order (every shard owns
@@ -993,15 +806,15 @@ impl KvEngine for Frontend {
             results.push(None);
             if matches!(op, EngineOp::Scan { .. }) {
                 for (j, t) in pending.drain(..) {
-                    results[j] = Some(complete(t));
+                    results[j] = Some(t.wait());
                 }
-                results[i] = Some(complete(submit_op(op)));
+                results[i] = Some(submit(op).wait());
             } else {
-                pending.push((i, submit_op(op)));
+                pending.push((i, submit(op)));
             }
         }
         for (j, t) in pending {
-            results[j] = Some(complete(t));
+            results[j] = Some(t.wait());
         }
         results
             .into_iter()

@@ -3,25 +3,31 @@
 //! Every engine in the workspace is a synchronous [`KvEngine`]; this
 //! crate turns one into a *servable system*: the paper's data-node
 //! serving model of one event loop per shard (§4.4) with batched
-//! storage round-trips (§4.1.2). Client threads submit
-//! [`Request`]s to per-shard bounded queues (routed by the cluster
-//! hash, `slot_for_key`), shard workers drain batches, coalesce
-//! adjacent writes into `multi_put`, and group-commit one `sync()` per
-//! dirty batch. Completion flows back through per-request [`Ticket`]s;
-//! a full shard queue is backpressure (blocking `submit`, or
+//! storage round-trips (§4.1.2). The front-end speaks the engine's own
+//! op vocabulary: client threads submit [`EngineOp`]s to per-shard
+//! bounded queues (routed by the cluster hash, `slot_for_key`), shard
+//! workers drain batches, coalesce adjacent writes into one `MultiPut`,
+//! lower each batch onto one `apply_batch` call of the wrapped engine,
+//! and group-commit one `sync()` per dirty batch — the only two calls
+//! it makes on the engine's data path. Completion flows back through
+//! per-op [`Ticket`]s resolving to the engine's [`OpOutcome`]s; a full
+//! shard queue is backpressure (blocking `submit`, or
 //! `Error::Backpressure` from `try_submit`). The elastic watermark
 //! policy from `tb-elastic` boosts extra drain workers onto hot shards
 //! and retires them when bursts subside.
 //!
+//! [`EngineOp`]: tb_common::EngineOp
+//! [`OpOutcome`]: tb_common::OpOutcome
+//!
 //! ```
 //! use std::sync::Arc;
-//! use tb_common::{Key, KvEngine, Value};
-//! use tb_frontend::{Frontend, FrontendConfig, Request};
+//! use tb_common::{EngineOp, Key, KvEngine, Value};
+//! use tb_frontend::{Frontend, FrontendConfig};
 //! # let engine: Arc<dyn KvEngine> = tb_common::testutil::MapEngine::shared();
 //! let fe = Frontend::start(engine, FrontendConfig::default());
-//! // Pipelined: submit many requests, await their tickets later.
+//! // Pipelined: submit many ops, await their tickets later.
 //! let tickets: Vec<_> = (0..100)
-//!     .map(|i| fe.submit(Request::Put(Key::from(format!("k{i}")), Value::from("v"))))
+//!     .map(|i| fe.submit(EngineOp::Put(Key::from(format!("k{i}")), Value::from("v"))))
 //!     .collect();
 //! for t in tickets {
 //!     t.wait().unwrap();
@@ -35,9 +41,9 @@ mod queue;
 mod stats;
 mod ticket;
 
-pub use frontend::{Frontend, FrontendConfig, Request};
+pub use frontend::{Frontend, FrontendConfig};
 pub use stats::{FrontendStats, FrontendStatsSnapshot};
-pub use ticket::{Response, Ticket};
+pub use ticket::Ticket;
 
 // Re-exported so front-end users can tune boosting without a direct
 // tb-elastic dependency.
@@ -51,7 +57,7 @@ mod tests {
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
     use std::time::Duration;
-    use tb_common::{Error, Key, KvEngine, Result, Value};
+    use tb_common::{EngineOp, Error, Key, KvEngine, OpOutcome, Result, Value};
 
     /// Map engine that counts engine-level calls, can inject
     /// per-operation latency (to saturate queues deterministically),
@@ -218,20 +224,20 @@ mod tests {
         // writes submitted before it.
         let mut tickets = Vec::new();
         for i in 0..50 {
-            tickets.push((None, fe.submit(Request::Put(k(i), v(i)))));
+            tickets.push((None, fe.submit(EngineOp::Put(k(i), v(i)))));
         }
         tickets.push((
             Some(50),
-            fe.submit(Request::Scan {
+            fe.submit(EngineOp::Scan {
                 start: k(0),
                 end: Some(k(50)),
                 limit: usize::MAX,
             }),
         ));
-        tickets.push((None, fe.submit(Request::Delete(k(10)))));
+        tickets.push((None, fe.submit(EngineOp::Delete(k(10)))));
         tickets.push((
             Some(49),
-            fe.submit(Request::Scan {
+            fe.submit(EngineOp::Scan {
                 start: k(0),
                 end: None,
                 limit: usize::MAX,
@@ -239,11 +245,11 @@ mod tests {
         ));
         for (expect, t) in tickets {
             match (expect, t.wait().unwrap()) {
-                (Some(n), Response::Range(rows)) => {
+                (Some(n), OpOutcome::Range(rows)) => {
                     assert_eq!(rows.len(), n, "scan saw the writes submitted before it");
                     assert!(rows.windows(2).all(|w| w[0].0 < w[1].0), "rows key-ordered");
                 }
-                (None, Response::Done(_)) => {}
+                (None, OpOutcome::Done(_)) => {}
                 (e, r) => panic!("unexpected outcome {e:?} {r:?}"),
             }
         }
@@ -292,7 +298,7 @@ mod tests {
         // Pipelined burst: tickets awaited only at the end, so the
         // single shard worker sees deep batches.
         let tickets: Vec<Ticket> = (0..1000)
-            .map(|i| fe.submit(Request::Put(k(i), v(i))))
+            .map(|i| fe.submit(EngineOp::Put(k(i), v(i))))
             .collect();
         for t in tickets {
             t.wait().unwrap();
@@ -305,7 +311,7 @@ mod tests {
             "group commit must amortize syncs: {syncs} syncs for {puts} puts"
         );
         assert!(syncs > 0, "dirty batches must sync");
-        assert_eq!(fe.stats().snapshot().group_syncs, syncs);
+        assert_eq!(fe.stats_snapshot().group_syncs, syncs);
         fe.shutdown();
     }
 
@@ -321,13 +327,13 @@ mod tests {
             },
         );
         let tickets: Vec<Ticket> = (0..100)
-            .map(|i| fe.submit(Request::Put(k(i), v(i))))
+            .map(|i| fe.submit(EngineOp::Put(k(i), v(i))))
             .collect();
         for t in tickets {
             t.wait().unwrap();
         }
         assert_eq!(engine.syncs.load(Ordering::Relaxed), 100);
-        assert_eq!(fe.stats().snapshot().per_op_syncs, 100);
+        assert_eq!(fe.stats_snapshot().per_op_syncs, 100);
         fe.shutdown();
     }
 
@@ -342,7 +348,7 @@ mod tests {
             },
         );
         let tickets: Vec<Ticket> = (0..500)
-            .map(|i| fe.submit(Request::Put(k(i), v(i))))
+            .map(|i| fe.submit(EngineOp::Put(k(i), v(i))))
             .collect();
         for t in tickets {
             t.wait().unwrap();
@@ -353,7 +359,7 @@ mod tests {
             calls < 500 / 2,
             "coalescing must batch engine round-trips: {calls} multi_puts for 500 puts"
         );
-        assert!(fe.stats().snapshot().coalesced_puts > 0);
+        assert!(fe.stats_snapshot().coalesced_puts > 0);
         fe.shutdown();
     }
 
@@ -366,16 +372,16 @@ mod tests {
         for round in 0..50 {
             tickets.push((
                 None,
-                fe.submit(Request::Put(key.clone(), Value::from(format!("{round}")))),
+                fe.submit(EngineOp::Put(key.clone(), Value::from(format!("{round}")))),
             ));
-            tickets.push((Some(round), fe.submit(Request::Get(key.clone()))));
+            tickets.push((Some(round), fe.submit(EngineOp::Get(key.clone()))));
         }
         for (expect, t) in tickets {
             match (expect, t.wait().unwrap()) {
-                (Some(round), Response::Value(got)) => {
+                (Some(round), OpOutcome::Value(got)) => {
                     assert_eq!(got, Some(Value::from(format!("{round}"))));
                 }
-                (None, Response::Done(_)) => {}
+                (None, OpOutcome::Done(_)) => {}
                 (e, r) => panic!("unexpected outcome {e:?} {r:?}"),
             }
         }
@@ -398,7 +404,7 @@ mod tests {
         let mut accepted = Vec::new();
         let mut rejected = 0;
         for i in 0..64 {
-            match fe.try_submit(Request::Put(k(i), v(i))) {
+            match fe.try_submit(EngineOp::Put(k(i), v(i))) {
                 Ok(t) => accepted.push(t),
                 Err(e @ Error::Backpressure { .. }) => {
                     // The shed carries a retry-after hint: the refusing
@@ -413,7 +419,7 @@ mod tests {
             }
         }
         assert!(rejected > 0, "saturated shard must shed load");
-        assert_eq!(fe.stats().snapshot().backpressure_rejections, rejected);
+        assert_eq!(fe.stats_snapshot().backpressure_rejections, rejected);
         for t in accepted {
             t.wait().unwrap();
         }
@@ -439,7 +445,7 @@ mod tests {
                 ..FrontendConfig::default()
             },
         );
-        let tickets: Vec<Ticket> = (0..2000).map(|i| fe.submit(Request::Get(k(i)))).collect();
+        let tickets: Vec<Ticket> = (0..2000).map(|i| fe.submit(EngineOp::Get(k(i)))).collect();
         let mut peak = 1;
         while fe.total_queue_depth() > 0 {
             peak = peak.max(fe.live_workers(0));
@@ -449,14 +455,14 @@ mod tests {
             t.wait().unwrap();
         }
         assert!(peak > 1, "hot shard never boosted (peak {peak})");
-        assert!(fe.stats().snapshot().boosts > 0);
+        assert!(fe.stats_snapshot().boosts > 0);
         // Calm period: boosted workers retire.
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
         while fe.live_workers(0) > 1 && std::time::Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(2));
         }
         assert_eq!(fe.live_workers(0), 1, "boosted workers never retired");
-        assert!(fe.stats().snapshot().shrinks > 0);
+        assert!(fe.stats_snapshot().shrinks > 0);
         fe.shutdown();
     }
 
@@ -470,7 +476,7 @@ mod tests {
             .map(k)
             .find(|key| fe.shard_of(key) != fe.shard_of(&a))
             .expect("some key lands on another shard");
-        let spanning = Request::MultiPut(vec![(a.clone(), v(0)), (b.clone(), v(1))]);
+        let spanning = EngineOp::MultiPut(vec![(a.clone(), v(0)), (b.clone(), v(1))]);
         assert!(matches!(
             fe.submit(spanning.clone()).wait(),
             Err(Error::InvalidArgument(_))
@@ -480,7 +486,7 @@ mod tests {
             Err(Error::InvalidArgument(_))
         ));
         // Single-shard batches and the splitting helpers still work.
-        fe.submit(Request::MultiPut(vec![(a.clone(), v(0))]))
+        fe.submit(EngineOp::MultiPut(vec![(a.clone(), v(0))]))
             .wait()
             .unwrap();
         fe.multi_put(vec![(a.clone(), v(2)), (b.clone(), v(3))])
@@ -501,9 +507,9 @@ mod tests {
         let shards: std::collections::HashSet<usize> =
             keys.iter().map(|key| fe.shard_of(key)).collect();
         assert!(shards.len() > 1, "test needs a spanning key set");
-        let ticket = fe.submit(Request::MultiGet(keys.clone()));
+        let ticket = fe.submit(EngineOp::MultiGet(keys.clone()));
         match ticket.wait().unwrap() {
-            Response::Values(values) => {
+            OpOutcome::Values(values) => {
                 assert_eq!(values.len(), 128);
                 for (i, item) in values.iter().enumerate() {
                     if i < 64 {
@@ -516,8 +522,8 @@ mod tests {
             other => panic!("unexpected response {other:?}"),
         }
         // try_submit scatters too.
-        let ticket = fe.try_submit(Request::MultiGet(keys)).unwrap();
-        assert!(matches!(ticket.wait().unwrap(), Response::Values(_)));
+        let ticket = fe.try_submit(EngineOp::MultiGet(keys)).unwrap();
+        assert!(matches!(ticket.wait().unwrap(), OpOutcome::Values(_)));
         fe.shutdown();
     }
 
@@ -530,9 +536,9 @@ mod tests {
         let tickets: Vec<Ticket> = (0..600)
             .map(|i| {
                 if i % 3 == 0 {
-                    fe.submit(Request::Get(k(i)))
+                    fe.submit(EngineOp::Get(k(i)))
                 } else {
-                    fe.submit(Request::Put(k(i), v(i)))
+                    fe.submit(EngineOp::Put(k(i), v(i)))
                 }
             })
             .collect();
@@ -540,7 +546,7 @@ mod tests {
             t.wait().unwrap();
         }
         let submissions = engine.apply_batches.load(Ordering::Relaxed);
-        let batches = fe.stats().snapshot().batches;
+        let batches = fe.stats_snapshot().batches;
         assert_eq!(
             submissions, batches,
             "each drained batch must make exactly one apply_batch call"
@@ -612,11 +618,6 @@ mod tests {
             batch.blocks_read + batch.memtable_hits > 0,
             "batched lookups left no trace in the engine counters: {batch:?}"
         );
-        // The plain FrontendStats snapshot cannot reach the engine.
-        assert_eq!(
-            fe.stats().snapshot().engine_batch,
-            tb_common::BatchReadStats::default()
-        );
         fe.shutdown();
     }
 
@@ -630,14 +631,14 @@ mod tests {
         let fe = Frontend::start(engine.clone(), FrontendConfig::with_shards(1));
         // The poisoned batch fails (completers dropped by the unwind
         // resolve the tickets), the worker survives.
-        let t = fe.submit(Request::Put(poison, v(0)));
+        let t = fe.submit(EngineOp::Put(poison, v(0)));
         assert!(matches!(t.wait(), Err(Error::Unavailable(_))));
         // Same shard keeps serving afterwards: no hang, no wedge.
         for i in 0..100 {
             fe.put(k(i), v(i)).unwrap();
         }
         assert_eq!(fe.get(&k(42)).unwrap(), Some(v(42)));
-        assert_eq!(fe.stats().snapshot().worker_panics, 1);
+        assert_eq!(fe.stats_snapshot().worker_panics, 1);
         fe.shutdown();
     }
 
@@ -652,7 +653,7 @@ mod tests {
             s.spawn(move || {
                 let mut i = 0usize;
                 while !producer_stop.load(Ordering::Relaxed) {
-                    let _ = producer_fe.submit(Request::Put(k(i), v(i)));
+                    let _ = producer_fe.submit(EngineOp::Put(k(i), v(i)));
                     i += 1;
                 }
             });
@@ -693,7 +694,7 @@ mod tests {
         // draining the one shard, the barrier must not return while a
         // sibling still holds an earlier-drained batch.
         let tickets: Vec<Ticket> = (0..500)
-            .map(|i| fe.submit(Request::Put(k(i), v(i))))
+            .map(|i| fe.submit(EngineOp::Put(k(i), v(i))))
             .collect();
         KvEngine::sync(&fe).unwrap();
         assert_eq!(
@@ -728,7 +729,7 @@ mod tests {
         let engine = ProbeEngine::shared();
         let fe = Frontend::start(engine.clone(), FrontendConfig::with_shards(2));
         let tickets: Vec<Ticket> = (0..300)
-            .map(|i| fe.submit(Request::Put(k(i), v(i))))
+            .map(|i| fe.submit(EngineOp::Put(k(i), v(i))))
             .collect();
         fe.shutdown();
         fe.shutdown();
@@ -738,11 +739,11 @@ mod tests {
         assert_eq!(engine.puts.load(Ordering::Relaxed), 300);
         // Post-shutdown submissions fail fast instead of hanging.
         assert!(matches!(
-            fe.submit(Request::Get(k(0))).wait(),
+            fe.submit(EngineOp::Get(k(0))).wait(),
             Err(Error::Unavailable(_))
         ));
         assert!(matches!(
-            fe.try_submit(Request::Get(k(0))),
+            fe.try_submit(EngineOp::Get(k(0))),
             Err(Error::Unavailable(_))
         ));
     }
@@ -766,7 +767,7 @@ mod tests {
                 assert_eq!(fe.get(&Key::from(format!("t{t}-{i}"))).unwrap(), Some(v(i)));
             }
         }
-        let snap = fe.stats().snapshot();
+        let snap = fe.stats_snapshot();
         assert_eq!(snap.submitted, snap.completed);
         fe.shutdown();
     }
@@ -779,7 +780,7 @@ mod tests {
         );
         let fe = Frontend::start(db, FrontendConfig::with_shards(2));
         let tickets: Vec<Ticket> = (0..500)
-            .map(|i| fe.submit(Request::Put(k(i), v(i))))
+            .map(|i| fe.submit(EngineOp::Put(k(i), v(i))))
             .collect();
         for t in tickets {
             t.wait().unwrap();

@@ -36,28 +36,10 @@ impl FrontendStats {
     pub(crate) fn bump(counter: &AtomicU64, by: u64) {
         counter.fetch_add(by, Ordering::Relaxed);
     }
-
-    /// Snapshot for reports.
-    pub fn snapshot(&self) -> FrontendStatsSnapshot {
-        FrontendStatsSnapshot {
-            submitted: self.submitted.load(Ordering::Relaxed),
-            completed: self.completed.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
-            group_syncs: self.group_syncs.load(Ordering::Relaxed),
-            per_op_syncs: self.per_op_syncs.load(Ordering::Relaxed),
-            coalesced_puts: self.coalesced_puts.load(Ordering::Relaxed),
-            backpressure_rejections: self.backpressure_rejections.load(Ordering::Relaxed),
-            boosts: self.boosts.load(Ordering::Relaxed),
-            shrinks: self.shrinks.load(Ordering::Relaxed),
-            worker_panics: self.worker_panics.load(Ordering::Relaxed),
-            shard_queue_depths: Vec::new(),
-            shard_live_workers: Vec::new(),
-            engine_batch: BatchReadStats::default(),
-        }
-    }
 }
 
-/// Point-in-time copy of [`FrontendStats`].
+/// Point-in-time copy of [`FrontendStats`] plus the per-shard gauges
+/// and engine counters, taken by `Frontend::stats_snapshot`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FrontendStatsSnapshot {
     pub submitted: u64,
@@ -70,17 +52,13 @@ pub struct FrontendStatsSnapshot {
     pub boosts: u64,
     pub shrinks: u64,
     pub worker_panics: u64,
-    /// Submission-queue depth of each shard at snapshot time. Empty
-    /// through [`FrontendStats::snapshot`]; filled by
-    /// `Frontend::stats_snapshot`, which can reach the shards.
+    /// Submission-queue depth of each shard at snapshot time.
     pub shard_queue_depths: Vec<usize>,
     /// Workers draining each shard at snapshot time (> 1 = elastically
-    /// boosted). Filled like `shard_queue_depths`.
+    /// boosted).
     pub shard_live_workers: Vec<usize>,
     /// The wrapped engine's batched-read counters (block fetches,
-    /// dedup hits, memtable hits). Zero through
-    /// [`FrontendStats::snapshot`]; filled by `Frontend::stats_snapshot`,
-    /// which can reach the engine.
+    /// dedup hits, memtable hits).
     pub engine_batch: BatchReadStats,
 }
 

@@ -1,48 +1,36 @@
-//! Per-request completion handles.
+//! Per-op completion handles.
 //!
-//! A [`Ticket`] is the caller's half of a submitted request: it blocks
-//! (or polls) until the owning shard worker resolves the request. The
-//! worker holds the matching [`Completer`]; dropping an uncompleted
-//! completer fails the ticket, so a caller can never hang on a request
-//! the front-end lost (e.g. during shutdown).
+//! A [`Ticket`] is the caller's half of a submitted [`EngineOp`]: it
+//! blocks (or polls) until the owning shard worker resolves the op to
+//! its [`OpOutcome`]. A write resolves `Done` after the batch `sync`
+//! when the front-end runs in group-commit mode, carrying the covering
+//! [`Lsn`] per the `tb_common::engine` LSN/ack contract; a gathered
+//! multi-part write acks the max across its parts. The worker holds the
+//! matching [`Completer`]; dropping an uncompleted completer fails the
+//! ticket, so a caller can never hang on an op the front-end lost (e.g.
+//! during shutdown).
+//!
+//! [`EngineOp`]: tb_common::EngineOp
 
 use parking_lot::{Condvar, Mutex};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use tb_common::{Error, Key, Lsn, Result, Value};
-
-/// What a completed request resolves to.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Response {
-    /// `Get` result.
-    Value(Option<Value>),
-    /// `MultiGet` results, aligned with the request's key order.
-    Values(Vec<Option<Value>>),
-    /// `Scan` result: live `(key, value)` pairs in ascending key order,
-    /// truncated to the request's limit.
-    Range(Vec<(Key, Value)>),
-    /// Write acknowledged — and durable, when the front-end runs in
-    /// group-commit mode (the ack is delivered after the batch `sync`).
-    /// Carries the covering [`Lsn`] per the `tb_common::engine` LSN/ack
-    /// contract ([`Lsn::NONE`] for LSN-less engines); a gathered
-    /// multi-part write acks the max across its parts.
-    Done(Lsn),
-}
+use tb_common::{Error, Lsn, OpOutcome, Result};
 
 struct Shared {
     /// `Some` once resolved; the instant is the completion time, kept
     /// for open-loop latency measurement.
-    outcome: Mutex<Option<(Result<Response>, Instant)>>,
+    outcome: Mutex<Option<(Result<OpOutcome>, Instant)>>,
     cv: Condvar,
 }
 
-/// Caller-side handle for one submitted request.
+/// Caller-side handle for one submitted op.
 pub struct Ticket {
     inner: TicketInner,
 }
 
 enum TicketInner {
-    /// One queued request, resolved by its [`Completer`].
+    /// One queued op, resolved by its [`Completer`].
     Single(Arc<Shared>),
     /// A scattered cross-shard `MultiGet`: each part is a per-shard
     /// sub-ticket answering the listed positions of the key-ordered
@@ -52,7 +40,7 @@ enum TicketInner {
         len: usize,
     },
     /// A scattered cross-shard write (`MultiPut` split by shard):
-    /// resolves [`Response::Done`] once every part has; the first part
+    /// resolves [`OpOutcome::Done`] once every part has; the first part
     /// error (in part order) fails the whole ticket. Parts commit
     /// independently — cross-shard write atomicity is out of scope.
     GatherAll { parts: Vec<Ticket> },
@@ -79,7 +67,7 @@ pub(crate) fn ticket() -> (Ticket, Completer) {
 
 /// Builds a gather ticket over per-shard sub-tickets: `parts[i]` is
 /// `(response positions, sub-ticket)` and `len` is the full response
-/// arity. The gather resolves to [`Response::Values`] in the original
+/// arity. The gather resolves to [`OpOutcome::Values`] in the original
 /// key order once every part has.
 pub(crate) fn gather(parts: Vec<(Vec<usize>, Ticket)>, len: usize) -> Ticket {
     Ticket {
@@ -95,31 +83,22 @@ pub(crate) fn gather_all(parts: Vec<Ticket>) -> Ticket {
 }
 
 /// Assembles a settled gather's parts into one key-ordered `Values`
-/// response. The first part error fails the whole gather.
-fn assemble(parts: &[(Vec<usize>, Ticket)], len: usize) -> Result<Response> {
+/// outcome. The first part error fails the whole gather.
+fn assemble(parts: &[(Vec<usize>, Ticket)], len: usize) -> Result<OpOutcome> {
     let mut out = vec![None; len];
     for (slots, part) in parts {
-        match part.wait()? {
-            Response::Values(values) => {
-                for (slot, v) in slots.iter().zip(values) {
-                    out[*slot] = v;
-                }
-            }
-            other => {
-                return Err(Error::Internal(format!(
-                    "gather part resolved to {other:?}"
-                )))
-            }
+        for (slot, v) in slots.iter().zip(part.wait()?.into_values()?) {
+            out[*slot] = v;
         }
     }
-    Ok(Response::Values(out))
+    Ok(OpOutcome::Values(out))
 }
 
 impl Ticket {
-    /// Blocks until the request resolves. A gather resolves only once
+    /// Blocks until the op resolves. A gather resolves only once
     /// every part has settled — an early part error must not overtake
     /// slices still being applied.
-    pub fn wait(&self) -> Result<Response> {
+    pub fn wait(&self) -> Result<OpOutcome> {
         match &self.inner {
             TicketInner::Single(shared) => {
                 let mut outcome = shared.outcome.lock();
@@ -138,7 +117,7 @@ impl Ticket {
     }
 
     /// Blocks at most `timeout`; `None` when still pending.
-    pub fn wait_timeout(&self, timeout: Duration) -> Option<Result<Response>> {
+    pub fn wait_timeout(&self, timeout: Duration) -> Option<Result<OpOutcome>> {
         let deadline = Instant::now() + timeout;
         match &self.inner {
             TicketInner::Single(shared) => {
@@ -165,7 +144,7 @@ impl Ticket {
     }
 
     /// Non-blocking poll.
-    pub fn try_get(&self) -> Option<Result<Response>> {
+    pub fn try_get(&self) -> Option<Result<OpOutcome>> {
         match &self.inner {
             TicketInner::Single(shared) => shared.outcome.lock().as_ref().map(|(r, _)| r.clone()),
             _ => self.is_done().then(|| self.settled()),
@@ -182,24 +161,22 @@ impl Ticket {
     }
 
     /// The outcome of a gather whose parts have all resolved: the first
-    /// part error in part order, else the assembled response.
-    fn settled(&self) -> Result<Response> {
+    /// part error in part order, else the assembled outcome.
+    fn settled(&self) -> Result<OpOutcome> {
         match &self.inner {
             TicketInner::Single(_) => self.wait(),
             TicketInner::Gather { parts, len } => assemble(parts, *len),
             TicketInner::GatherAll { parts } => {
                 let mut lsn = Lsn::NONE;
                 for part in parts {
-                    if let Response::Done(l) = part.wait()? {
-                        lsn = lsn.max(l);
-                    }
+                    lsn = lsn.max(part.wait()?.into_done()?);
                 }
-                Ok(Response::Done(lsn))
+                Ok(OpOutcome::Done(lsn))
             }
         }
     }
 
-    /// True once the request has resolved.
+    /// True once the op has resolved.
     pub fn is_done(&self) -> bool {
         match &self.inner {
             TicketInner::Single(shared) => shared.outcome.lock().is_some(),
@@ -207,7 +184,7 @@ impl Ticket {
         }
     }
 
-    /// When the request resolved (open-loop latency accounting);
+    /// When the op resolved (open-loop latency accounting);
     /// `None` while pending. A gather resolves when its last part does.
     pub fn completed_at(&self) -> Option<Instant> {
         match &self.inner {
@@ -226,11 +203,11 @@ impl Ticket {
 
 impl Completer {
     /// Resolves the ticket and wakes every waiter.
-    pub fn complete(self, result: Result<Response>) {
+    pub fn complete(self, result: Result<OpOutcome>) {
         self.resolve(result);
     }
 
-    fn resolve(&self, result: Result<Response>) {
+    fn resolve(&self, result: Result<OpOutcome>) {
         let mut outcome = self.shared.outcome.lock();
         if outcome.is_none() {
             *outcome = Some((result, Instant::now()));
@@ -253,15 +230,16 @@ impl Drop for Completer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tb_common::Value;
 
     #[test]
     fn wait_sees_completion_from_another_thread() {
         let (t, c) = ticket();
         let h = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(5));
-            c.complete(Ok(Response::Done(Lsn(7))));
+            c.complete(Ok(OpOutcome::Done(Lsn(7))));
         });
-        assert_eq!(t.wait().unwrap(), Response::Done(Lsn(7)));
+        assert_eq!(t.wait().unwrap(), OpOutcome::Done(Lsn(7)));
         assert!(t.is_done());
         assert!(t.completed_at().is_some());
         h.join().unwrap();
@@ -271,8 +249,8 @@ mod tests {
     fn try_get_polls() {
         let (t, c) = ticket();
         assert!(t.try_get().is_none());
-        c.complete(Ok(Response::Value(None)));
-        assert_eq!(t.try_get().unwrap().unwrap(), Response::Value(None));
+        c.complete(Ok(OpOutcome::Value(None)));
+        assert_eq!(t.try_get().unwrap().unwrap(), OpOutcome::Value(None));
     }
 
     #[test]
@@ -286,7 +264,7 @@ mod tests {
     fn wait_timeout_expires_then_resolves() {
         let (t, c) = ticket();
         assert!(t.wait_timeout(Duration::from_millis(2)).is_none());
-        c.complete(Ok(Response::Done(Lsn::NONE)));
+        c.complete(Ok(OpOutcome::Done(Lsn::NONE)));
         assert!(t.wait_timeout(Duration::from_millis(2)).is_some());
     }
 
@@ -297,16 +275,16 @@ mod tests {
         let g = gather(vec![(vec![0, 2], t1), (vec![1], t2)], 3);
         assert!(!g.is_done());
         assert!(g.try_get().is_none());
-        c1.complete(Ok(Response::Values(vec![
+        c1.complete(Ok(OpOutcome::Values(vec![
             Some(Value::from("a")),
             Some(Value::from("c")),
         ])));
         // One part still pending: the gather is too.
         assert!(g.wait_timeout(Duration::from_millis(1)).is_none());
-        c2.complete(Ok(Response::Values(vec![None])));
+        c2.complete(Ok(OpOutcome::Values(vec![None])));
         assert_eq!(
             g.wait().unwrap(),
-            Response::Values(vec![Some(Value::from("a")), None, Some(Value::from("c"))])
+            OpOutcome::Values(vec![Some(Value::from("a")), None, Some(Value::from("c"))])
         );
         assert!(g.is_done());
         assert!(g.completed_at().is_some());
@@ -318,7 +296,7 @@ mod tests {
         let (t1, c1) = ticket();
         let (t2, c2) = ticket();
         let g = gather(vec![(vec![0], t1), (vec![1], t2)], 2);
-        c1.complete(Ok(Response::Values(vec![None])));
+        c1.complete(Ok(OpOutcome::Values(vec![None])));
         c2.complete(Err(Error::backpressure("shard full")));
         assert!(matches!(g.wait(), Err(Error::Backpressure { .. })));
     }
@@ -328,13 +306,13 @@ mod tests {
         let (t1, c1) = ticket();
         let (t2, c2) = ticket();
         let g = gather_all(vec![t1, t2]);
-        c1.complete(Ok(Response::Done(Lsn(9))));
-        c2.complete(Ok(Response::Done(Lsn(3))));
+        c1.complete(Ok(OpOutcome::Done(Lsn(9))));
+        c2.complete(Ok(OpOutcome::Done(Lsn(3))));
         // The covering LSN of a multi-part write is the max part LSN.
-        assert_eq!(g.wait().unwrap(), Response::Done(Lsn(9)));
+        assert_eq!(g.wait().unwrap(), OpOutcome::Done(Lsn(9)));
         assert_eq!(
             g.wait_timeout(Duration::from_millis(1)).unwrap().unwrap(),
-            Response::Done(Lsn(9))
+            OpOutcome::Done(Lsn(9))
         );
     }
 
@@ -364,9 +342,9 @@ mod tests {
                 std::thread::sleep(Duration::from_millis(50));
                 landed.store(true, std::sync::atomic::Ordering::SeqCst);
                 c2.complete(Ok(if all {
-                    Response::Done(Lsn(4))
+                    OpOutcome::Done(Lsn(4))
                 } else {
-                    Response::Values(vec![None])
+                    OpOutcome::Values(vec![None])
                 }));
             });
             assert!(matches!(g.wait(), Err(Error::Backpressure { .. })));

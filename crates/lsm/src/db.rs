@@ -373,10 +373,7 @@ impl LsmDb {
     /// Point lookup: a one-op batch through [`Self::apply_batch`]'s
     /// staged read path.
     pub fn get(&self, key: &Key) -> Result<Option<Value>> {
-        match self.apply_one(EngineOp::Get(key.clone()))? {
-            OpOutcome::Value(v) => Ok(v),
-            other => Err(Error::Internal(format!("get batch resolved to {other:?}"))),
-        }
+        self.apply_one(EngineOp::Get(key.clone()))?.into_value()
     }
 
     /// Atomic compare-and-set: the read, the comparison, and the write
@@ -827,17 +824,12 @@ impl LsmDb {
             end: end.cloned(),
             limit,
         };
-        match self.apply_one(op)? {
-            OpOutcome::Range(rows) => Ok(rows),
-            other => Err(Error::Internal(format!("scan batch resolved to {other:?}"))),
-        }
+        self.apply_one(op)?.into_range()
     }
 
     /// Submits `op` as a batch of one and returns its completion.
     fn apply_one(&self, op: EngineOp) -> Result<OpOutcome> {
-        LsmDb::apply_batch(self, vec![op])
-            .pop()
-            .unwrap_or_else(|| Err(Error::Internal("batch of one completed nothing".into())))
+        OpOutcome::of_one(LsmDb::apply_batch(self, vec![op]))
     }
 
     /// Forces the memtable to disk (no-op when empty).

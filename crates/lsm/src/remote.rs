@@ -12,7 +12,7 @@ use crate::db::LsmDb;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use tb_common::{BatchReadStats, EngineOp, Key, KvEngine, OpOutcome, Result, Value};
+use tb_common::{BatchReadStats, EngineOp, Key, KvEngine, Lsn, OpOutcome, Result, Value};
 
 /// Round-trip cost model for cache-tier → storage-tier calls.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -220,6 +220,13 @@ impl KvEngine for DisaggregatedStore {
         DisaggregatedStore::batch_put(self, pairs)
     }
 
+    /// One round-trip to the db's atomic CAS; the trait default would
+    /// spend two and let a concurrent writer slip between them.
+    fn cas(&self, key: Key, expected: Option<&Value>, new: Value) -> Result<()> {
+        let payload = key.len() + new.len();
+        self.call(payload, || self.db.cas(key, expected, new))
+    }
+
     fn apply_batch(&self, ops: Vec<EngineOp>) -> Vec<Result<OpOutcome>> {
         DisaggregatedStore::apply_batch(self, ops)
     }
@@ -230,6 +237,10 @@ impl KvEngine for DisaggregatedStore {
 
     fn batch_read_stats(&self) -> BatchReadStats {
         self.db.batch_read_stats()
+    }
+
+    fn applied_lsn(&self) -> Lsn {
+        self.db.applied_lsn()
     }
 
     fn resident_bytes(&self) -> u64 {

@@ -161,32 +161,23 @@ impl ServerClient {
     }
 
     fn one(&self, op: EngineOp) -> Result<OpOutcome> {
-        self.apply_batch(vec![op])
-            .pop()
-            .unwrap_or_else(|| Err(Error::Internal("empty batch completion".into())))
+        OpOutcome::of_one(self.apply_batch(vec![op]))
     }
 }
 
 impl KvEngine for ServerClient {
     fn get(&self, key: &Key) -> Result<Option<Value>> {
-        match self.one(EngineOp::Get(key.clone()))? {
-            OpOutcome::Value(v) => Ok(v),
-            other => Err(Error::Internal(format!("get resolved to {other:?}"))),
-        }
+        self.one(EngineOp::Get(key.clone()))?.into_value()
     }
 
     fn put(&self, key: Key, value: Value) -> Result<()> {
-        match self.one(EngineOp::Put(key, value))? {
-            OpOutcome::Done(_) => Ok(()),
-            other => Err(Error::Internal(format!("put resolved to {other:?}"))),
-        }
+        self.one(EngineOp::Put(key, value))?.into_done().map(|_| ())
     }
 
     fn delete(&self, key: &Key) -> Result<()> {
-        match self.one(EngineOp::Delete(key.clone()))? {
-            OpOutcome::Done(_) => Ok(()),
-            other => Err(Error::Internal(format!("delete resolved to {other:?}"))),
-        }
+        self.one(EngineOp::Delete(key.clone()))?
+            .into_done()
+            .map(|_| ())
     }
 
     fn cas(&self, key: Key, expected: Option<&Value>, new: Value) -> Result<()> {
@@ -195,10 +186,7 @@ impl KvEngine for ServerClient {
             expected: expected.cloned(),
             new,
         };
-        match self.one(op)? {
-            OpOutcome::Done(_) => Ok(()),
-            other => Err(Error::Internal(format!("cas resolved to {other:?}"))),
-        }
+        self.one(op)?.into_done().map(|_| ())
     }
 
     // multi_get / multi_put / scan use the trait defaults: one

@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use tierbase::baselines::{DragonflyLike, MemcachedLike, RedisLike};
 use tierbase::frontend::{Frontend, FrontendConfig};
-use tierbase::lsm::{LsmConfig, LsmDb};
+use tierbase::lsm::{DisaggregatedStore, LsmConfig, LsmDb, NetworkModel};
 use tierbase::prelude::*;
 
 fn tmpdir(name: &str) -> tierbase::common::TestDir {
@@ -133,6 +133,18 @@ fn dragonfly_like_cas_is_atomic() {
 fn lsm_db_cas_is_atomic() {
     let dir = tmpdir("lsm");
     let engine = LsmDb::open(LsmConfig::small_for_tests(dir.path())).unwrap();
+    assert_eq!(hammer_counter(&engine, 4, 50), 200);
+}
+
+#[test]
+fn disaggregated_store_cas_is_atomic() {
+    // The simulated round-trip is the widest read→write window in the
+    // workspace: a CAS that lowered to a remote get plus a remote put
+    // would lose increments here. One round-trip to the db's atomic
+    // CAS does not.
+    let dir = tmpdir("disagg");
+    let db = Arc::new(LsmDb::open(LsmConfig::small_for_tests(dir.path())).unwrap());
+    let engine = DisaggregatedStore::new(db, NetworkModel::datacenter());
     assert_eq!(hammer_counter(&engine, 4, 50), 200);
 }
 

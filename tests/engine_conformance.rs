@@ -1,10 +1,11 @@
 //! Shared conformance battery for every [`KvEngine`] in the workspace.
 //!
 //! One function exercises the whole trait contract — point ops, batch
-//! op ordering, CAS semantics, and `resident_bytes` monotonicity — and
-//! every engine (TierBase, the baselines, the bare tiers, the cluster
-//! proxy, the pipelined front-end) must pass it unchanged. Any new
-//! engine gets a conformance test by adding one line here.
+//! op ordering, CAS semantics, the LSN/ack contract, and
+//! `resident_bytes` monotonicity — and every engine (TierBase, the
+//! baselines, the bare tiers, the cluster proxy, the pipelined
+//! front-end) must pass it unchanged. Any new engine gets a
+//! conformance test by adding one line here.
 
 use std::sync::Arc;
 use tierbase::baselines::{CassandraLike, DragonflyLike, HBaseLike, MemcachedLike, RedisLike};
@@ -23,6 +24,22 @@ fn k(tag: &str, i: usize) -> Key {
 
 fn v(i: usize) -> Value {
     Value::from(format!("value-{i}-{}", "x".repeat(i % 23)))
+}
+
+/// The LSN/ack contract of `tb_common::engine`: once `apply_batch`
+/// acks a write `Done(lsn)`, the engine's `applied_lsn()` covers it.
+/// Call right after the batch returns.
+fn assert_acks_covered(engine: &dyn KvEngine, outcomes: &[Result<OpOutcome>]) {
+    let applied = engine.applied_lsn();
+    for (i, outcome) in outcomes.iter().enumerate() {
+        if let Ok(OpOutcome::Done(lsn)) = outcome {
+            assert!(
+                lsn.is_none() || applied >= *lsn,
+                "[{}] op {i} acked {lsn} but applied_lsn() is {applied}",
+                engine.label()
+            );
+        }
+    }
 }
 
 /// The battery. Every assertion holds for *any* correct `KvEngine`;
@@ -132,6 +149,7 @@ fn conformance(engine: &dyn KvEngine) {
         EngineOp::Delete(k("ab", 0)),
         EngineOp::Get(k("ab", 0)), // the delete preceded it
     ]);
+    assert_acks_covered(engine, &outcomes);
     assert_eq!(outcomes.len(), 9, "[{label}] one completion per op");
     assert_eq!(outcomes[0], Ok(OpOutcome::Value(None)), "[{label}] ab[0]");
     assert!(
@@ -191,6 +209,7 @@ fn conformance(engine: &dyn KvEngine) {
         EngineOp::Get(k("ab", 404)),
         EngineOp::Get(k("ab", 2)),
     ]);
+    assert_acks_covered(engine, &outcomes);
     assert_eq!(
         outcomes[0],
         Ok(OpOutcome::Values(vec![Some(v(10)), Some(v(11))])),
@@ -263,6 +282,7 @@ fn conformance(engine: &dyn KvEngine) {
             limit: 1,
         },
     ]);
+    assert_acks_covered(engine, &outcomes);
     assert_eq!(outcomes.len(), 7, "[{label}] one completion per op");
     assert_eq!(
         outcomes[2],
