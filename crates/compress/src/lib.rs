@@ -6,10 +6,15 @@
 //!   compression levels and offline-trained dictionaries. It stands in for
 //!   Zstandard: same role (general string compression, dictionary mode for
 //!   small records), same knobs (level trades ratio against speed), same
-//!   training flow (`train_dictionary` ≈ `zstd --train`). Entropy coding is
-//!   omitted; ratios are therefore uniformly a little worse than real zstd
-//!   but the *orderings* the paper measures (dict > no-dict on small
-//!   records, higher level → better ratio/slower SET) are preserved.
+//!   training flow (`train_dictionary` ≈ `zstd --train`). Its entropy
+//!   stage depends on the caller: a per-record frame ([`Compressor`])
+//!   uses the adaptive order-0 range coder ([`rangecoder`]), which needs
+//!   no stored table; an SSTable block frame ([`block`]) uses static
+//!   Huffman codes ([`huffman`]) built once per table, one per LZ token
+//!   class, stored with the table and decoded by table lookup. Ratios
+//!   still trail real zstd, but the *orderings* the paper measures (dict >
+//!   no-dict on small records, higher level → better ratio/slower SET)
+//!   are preserved.
 //! * **PBC** ([`pbc`]) — Pattern-Based Compression per the paper and ref
 //!   [59]: offline hierarchical clustering of sampled records extracts
 //!   *patterns* (templates of literal anchors with wildcard gaps); a record
@@ -23,6 +28,7 @@
 pub mod block;
 pub mod dict;
 pub mod framework;
+pub mod huffman;
 pub mod lz;
 pub mod pbc;
 pub mod rangecoder;

@@ -15,9 +15,15 @@
 //! dictionary, which is what makes small templated records compress well.
 //! The dictionary is indexed once at construction, so per-record
 //! compression does no dictionary-sized work.
+//!
+//! The match finder hashes each position once (a multiplicative hash
+//! of its 4-gram, whose high bits index both the in-input hash chains
+//! and the dictionary's postings), rejects a candidate on the byte at
+//! the current best length before extending it, and extends matches 8
+//! bytes per compare. Its hash tables live in an [`LzScratch`] that a
+//! caller encoding many blocks reuses.
 
 use crate::Compressor;
-use std::collections::HashMap;
 use std::sync::Arc;
 use tb_common::{Error, Result};
 
@@ -25,8 +31,10 @@ use tb_common::{Error, Result};
 const MIN_MATCH: usize = 4;
 /// Maximum match length (keeps varints short; matches may be split).
 const MAX_MATCH: usize = 1 << 16;
-/// Max candidate positions stored per 4-gram in the dictionary index.
+/// Max candidate positions stored per dictionary hash bucket.
 const DICT_POSTINGS_CAP: usize = 16;
+/// Multiplier of the 4-gram hash; buckets take the product's high bits.
+const GRAM_PRIME: u32 = 0x9e37_79b1;
 
 /// Compression level, mirroring zstd's level semantics: negative levels
 /// trade ratio for speed, higher positive levels search harder.
@@ -99,23 +107,52 @@ impl TzstdLevel {
 /// Pre-indexed dictionary shared across compressor instances.
 pub struct TrainedDict {
     bytes: Vec<u8>,
-    /// 4-gram hash → positions in `bytes` (most recent first, capped).
-    index: HashMap<u32, Vec<u32>>,
+    /// Bucket of a 4-gram: the top `bucket_bits` of its hash product.
+    bucket_bits: u32,
+    /// Contiguous postings: bucket `b`'s dictionary positions are
+    /// `posts[starts[b]..starts[b + 1]]`, highest position (nearest the
+    /// dictionary's end, where the trainer puts its best fragments and
+    /// distances are shortest) first, at most [`DICT_POSTINGS_CAP`].
+    starts: Vec<u32>,
+    posts: Vec<u32>,
 }
 
 impl TrainedDict {
     pub fn new(bytes: Vec<u8>) -> Self {
-        let mut index: HashMap<u32, Vec<u32>> = HashMap::new();
-        if bytes.len() >= MIN_MATCH {
-            for i in 0..=(bytes.len() - MIN_MATCH) {
-                let h = gram_hash(&bytes[i..i + 4]);
-                let posts = index.entry(h).or_default();
-                if posts.len() < DICT_POSTINGS_CAP {
-                    posts.push(i as u32);
-                }
+        let grams = bytes.len().saturating_sub(MIN_MATCH - 1);
+        // About two buckets per indexed position keeps collisions rare.
+        let bucket_bits = (usize::BITS - (2 * grams).leading_zeros()).clamp(4, 16);
+        let buckets = 1usize << bucket_bits;
+        let bucket = |i: usize| (gram_product(&bytes, i) >> (32 - bucket_bits)) as usize;
+        // Counting pass, walking down from the end so each bucket keeps
+        // its highest positions; then a fill pass in the same order.
+        let mut counts = vec![0u32; buckets];
+        for i in (0..grams).rev() {
+            let c = &mut counts[bucket(i)];
+            *c = (*c + 1).min(DICT_POSTINGS_CAP as u32);
+        }
+        let mut starts = Vec::with_capacity(buckets + 1);
+        let mut total = 0u32;
+        starts.push(0);
+        for &c in &counts {
+            total += c;
+            starts.push(total);
+        }
+        let mut posts = vec![0u32; total as usize];
+        let mut fill = starts[..buckets].to_vec();
+        for i in (0..grams).rev() {
+            let b = bucket(i);
+            if fill[b] < starts[b + 1] {
+                posts[fill[b] as usize] = i as u32;
+                fill[b] += 1;
             }
         }
-        Self { bytes, index }
+        Self {
+            bytes,
+            bucket_bits,
+            starts,
+            posts,
+        }
     }
 
     pub fn as_bytes(&self) -> &[u8] {
@@ -129,12 +166,145 @@ impl TrainedDict {
     pub fn is_empty(&self) -> bool {
         self.bytes.is_empty()
     }
+
+    /// Candidate positions for a 4-gram with hash product `product`.
+    #[inline]
+    fn postings(&self, product: u32) -> &[u32] {
+        let b = (product >> (32 - self.bucket_bits)) as usize;
+        &self.posts[self.starts[b] as usize..self.starts[b + 1] as usize]
+    }
 }
 
 #[inline]
-fn gram_hash(b: &[u8]) -> u32 {
-    let w = u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
-    w.wrapping_mul(0x9e37_79b1)
+fn read_u32(b: &[u8], i: usize) -> u32 {
+    u32::from_le_bytes(b[i..i + 4].try_into().unwrap())
+}
+
+/// Hash product of the 4-gram at `i`; bucket indices take its high bits.
+#[inline]
+fn gram_product(b: &[u8], i: usize) -> u32 {
+    read_u32(b, i).wrapping_mul(GRAM_PRIME)
+}
+
+/// Length of the common prefix of `a` and `b`, at most `limit`,
+/// compared 8 bytes at a time.
+#[inline]
+fn common_prefix(a: &[u8], b: &[u8], limit: usize) -> usize {
+    let max = a.len().min(b.len()).min(limit);
+    let mut l = 0usize;
+    while l + 8 <= max {
+        let x = u64::from_le_bytes(a[l..l + 8].try_into().unwrap())
+            ^ u64::from_le_bytes(b[l..l + 8].try_into().unwrap());
+        if x != 0 {
+            return l + (x.trailing_zeros() / 8) as usize;
+        }
+        l += 8;
+    }
+    while l < max && a[l] == b[l] {
+        l += 1;
+    }
+    l
+}
+
+/// Reusable hash tables of the match finder: chain heads per hash
+/// bucket and the previous same-bucket position of every input
+/// position. A caller compressing many blocks keeps one and skips the
+/// per-block allocations.
+#[derive(Default)]
+pub(crate) struct LzScratch {
+    head: Vec<u32>,
+    prev: Vec<u32>,
+}
+
+/// One block's match finder state over `input`.
+struct Matcher<'a> {
+    input: &'a [u8],
+    dict: Option<&'a TrainedDict>,
+    p: LevelParams,
+    head: &'a mut [u32],
+    prev: &'a mut [u32],
+    /// `32 - log2(head.len())`: the product shift giving a chain bucket.
+    shift: u32,
+}
+
+impl Matcher<'_> {
+    /// Whether a 4-gram starts at `i` (shorter tails are never hashed).
+    #[inline]
+    fn hashable(&self, i: usize) -> bool {
+        i + MIN_MATCH <= self.input.len()
+    }
+
+    /// Links position `i` (hash product `product`) into its chain.
+    #[inline]
+    fn insert(&mut self, i: usize, product: u32) {
+        let h = (product >> self.shift) as usize;
+        self.prev[i] = self.head[h];
+        self.head[h] = i as u32;
+    }
+
+    /// Longest match for `input[i..]`, as `(length, distance)` in
+    /// combined (dict ++ input) coordinates. In-record candidates come
+    /// first; a dictionary candidate must be strictly longer to win.
+    fn find_best(&self, i: usize, product: u32) -> Option<(usize, usize)> {
+        let input = self.input;
+        let rest = &input[i..];
+        let cur = read_u32(input, i);
+        // `best_len` starts one short of a match: any candidate must
+        // reach MIN_MATCH to count.
+        let mut best_len = MIN_MATCH - 1;
+        let mut best_dist = 0usize;
+        let mut cand = self.head[(product >> self.shift) as usize];
+        let mut steps = 0usize;
+        while cand != u32::MAX && steps < self.p.chain_len && best_len < rest.len() {
+            let j = cand as usize;
+            debug_assert!(j < i);
+            // Quick reject: a longer match must agree on the byte at
+            // the current best length, and on the whole first 4-gram.
+            if input[j + best_len] == rest[best_len] && read_u32(input, j) == cur {
+                let l = MIN_MATCH
+                    + common_prefix(
+                        &input[j + MIN_MATCH..],
+                        &rest[MIN_MATCH..],
+                        MAX_MATCH - MIN_MATCH,
+                    );
+                if l > best_len {
+                    best_len = l;
+                    best_dist = i - j;
+                }
+            }
+            cand = self.prev[j];
+            steps += 1;
+        }
+        if let Some(dict) = self.dict {
+            let dbytes = dict.as_bytes();
+            let dlen = dbytes.len();
+            for &dj in dict.postings(product).iter().take(self.p.dict_probe) {
+                let dj = dj as usize;
+                if best_len >= rest.len() {
+                    break;
+                }
+                if dj + best_len < dlen && dbytes[dj + best_len] != rest[best_len] {
+                    continue;
+                }
+                if read_u32(dbytes, dj) != cur {
+                    continue;
+                }
+                let mut l = common_prefix(&dbytes[dj..], rest, MAX_MATCH);
+                if dj + l == dlen {
+                    // The match ran off the end of the dictionary; it
+                    // continues at the start of the input (history is
+                    // dict ++ input), reading only bytes before `i`.
+                    let limit = i.min(MAX_MATCH - l);
+                    l += common_prefix(&input[..i], &rest[l..], limit);
+                }
+                if l > best_len {
+                    best_len = l;
+                    best_dist = i + dlen - dj;
+                }
+            }
+        }
+        (best_len >= MIN_MATCH).then_some((best_len, best_dist))
+    }
 }
 
 /// The tzstd compressor: a level plus an optional trained dictionary.
@@ -165,142 +335,74 @@ impl Tzstd {
         self.dict.as_ref()
     }
 
-    /// Longest match for `input[i..]` among dictionary candidates.
-    /// Returns `(length, distance)` in combined-history coordinates.
-    fn best_dict_match(&self, input: &[u8], i: usize, probe: usize) -> Option<(usize, usize)> {
-        let dict = self.dict.as_ref()?;
-        if input.len() - i < MIN_MATCH {
-            return None;
-        }
-        let h = gram_hash(&input[i..i + 4]);
-        let posts = dict.index.get(&h)?;
-        let dbytes = &dict.bytes;
-        let dlen = dbytes.len();
-        let mut best: Option<(usize, usize)> = None;
-        for &dj in posts.iter().take(probe) {
-            let dj = dj as usize;
-            // Match may run off the end of the dictionary and continue at
-            // the start of the input (history is dict ++ input).
-            let mut l = 0usize;
-            while i + l < input.len() && l < MAX_MATCH {
-                let src = dj + l;
-                let b = if src < dlen {
-                    dbytes[src]
-                } else {
-                    let k = src - dlen;
-                    if k >= i {
-                        break; // would read unproduced output
-                    }
-                    input[k]
-                };
-                if b != input[i + l] {
-                    break;
-                }
-                l += 1;
-            }
-            if l >= MIN_MATCH && best.map(|(bl, _)| l > bl).unwrap_or(true) {
-                let dist = (i + dlen) - dj;
-                best = Some((l, dist));
-            }
-        }
-        best
-    }
-}
-
-impl Tzstd {
-    /// Raw LZ token stream (no framing, no entropy stage).
-    fn lz_compress(&self, input: &[u8]) -> Vec<u8> {
+    /// Raw LZ token stream (no framing, no entropy stage) of `input`,
+    /// appended to `out`.
+    pub(crate) fn lz_compress_into(
+        &self,
+        input: &[u8],
+        scratch: &mut LzScratch,
+        out: &mut Vec<u8>,
+    ) {
         let p = self.level.params();
         let n = input.len();
-        let mut out = Vec::with_capacity(n / 2 + 16);
+        out.reserve(n / 2 + 16);
 
-        // Local hash chains over the input itself.
-        let table_bits = usize::BITS - n.next_power_of_two().leading_zeros();
-        let table_size = (1usize << table_bits.clamp(8, 16)).max(256);
-        let mask = (table_size - 1) as u32;
-        let mut head = vec![u32::MAX; table_size];
-        let mut prev = vec![u32::MAX; n];
+        let table_bits = (usize::BITS - n.next_power_of_two().leading_zeros()).clamp(8, 16);
+        let table_size = 1usize << table_bits;
+        scratch.head.clear();
+        scratch.head.resize(table_size, u32::MAX);
+        if scratch.prev.len() < n {
+            scratch.prev.resize(n, u32::MAX);
+        }
+        let mut m = Matcher {
+            input,
+            dict: self.dict.as_deref(),
+            p,
+            head: &mut scratch.head,
+            prev: &mut scratch.prev,
+            shift: 32 - table_bits,
+        };
 
         let mut lit_start = 0usize;
         let mut i = 0usize;
         let mut misses = 0u32;
-
-        let find_best = |head: &[u32], prev: &[u32], i: usize| -> Option<(usize, usize)> {
-            if n - i < MIN_MATCH {
-                return None;
-            }
-            let h = (gram_hash(&input[i..i + 4]) & mask) as usize;
-            let mut cand = head[h];
-            let mut best: Option<(usize, usize)> = None;
-            let mut steps = 0usize;
-            while cand != u32::MAX && steps < p.chain_len {
-                let j = cand as usize;
-                debug_assert!(j < i);
-                let mut l = 0usize;
-                while i + l < n && l < MAX_MATCH && input[j + l] == input[i + l] {
-                    l += 1;
-                }
-                if l >= MIN_MATCH && best.map(|(bl, _)| l > bl).unwrap_or(true) {
-                    best = Some((l, i - j));
-                }
-                cand = prev[j];
-                steps += 1;
-            }
-            // Dictionary candidates compete with in-record candidates.
-            if let Some((dl, dd)) = self.best_dict_match(input, i, p.dict_probe) {
-                if best.map(|(bl, _)| dl > bl).unwrap_or(true) {
-                    best = Some((dl, dd));
-                }
-            }
-            best
-        };
-
-        let insert = |head: &mut [u32], prev: &mut [u32], pos: usize| {
-            if n - pos >= MIN_MATCH {
-                let h = (gram_hash(&input[pos..pos + 4]) & mask) as usize;
-                prev[pos] = head[h];
-                head[h] = pos as u32;
-            }
-        };
-
-        while i < n {
-            let m = find_best(&head, &prev, i);
-            match m {
+        while m.hashable(i) {
+            let product = gram_product(input, i);
+            match m.find_best(i, product) {
                 Some((len0, dist0)) => {
-                    insert(&mut head, &mut prev, i);
+                    m.insert(i, product);
                     let (mut len, mut dist) = (len0, dist0);
-                    if p.lazy && i + 1 < n {
+                    if p.lazy && m.hashable(i + 1) {
                         // Peek one position ahead; prefer a strictly
                         // longer match (one literal byte is the price).
-                        if let Some((l1, d1)) = find_best(&head, &prev, i + 1) {
+                        let product1 = gram_product(input, i + 1);
+                        if let Some((l1, d1)) = m.find_best(i + 1, product1) {
                             if l1 > len + 1 {
                                 i += 1;
-                                insert(&mut head, &mut prev, i);
+                                m.insert(i, product1);
                                 len = l1;
                                 dist = d1;
                             }
                         }
                     }
                     // Flush pending literals, then the match.
-                    write_varint(&mut out, (i - lit_start) as u64);
+                    write_varint(out, (i - lit_start) as u64);
                     out.extend_from_slice(&input[lit_start..i]);
-                    write_varint(&mut out, (len - MIN_MATCH + 1) as u64);
-                    write_varint(&mut out, dist as u64);
+                    write_varint(out, (len - MIN_MATCH + 1) as u64);
+                    write_varint(out, dist as u64);
                     // Index the covered positions (sparsely for speed).
                     let stride = if len > 64 { 8 } else { 1 };
-                    let mut pos = i + 1;
-                    while pos < i + len && pos < n {
-                        if (pos - i).is_multiple_of(stride) {
-                            insert(&mut head, &mut prev, pos);
-                        }
-                        pos += 1;
+                    let mut pos = i + stride;
+                    while pos < i + len && m.hashable(pos) {
+                        m.insert(pos, gram_product(input, pos));
+                        pos += stride;
                     }
                     i += len;
                     lit_start = i;
                     misses = 0;
                 }
                 None => {
-                    insert(&mut head, &mut prev, i);
+                    m.insert(i, product);
                     misses += 1;
                     // Acceleration for fast levels: skip ahead on repeated misses.
                     let step = if misses > p.skip_trigger {
@@ -313,74 +415,259 @@ impl Tzstd {
             }
         }
         // Trailing literals + end marker.
-        write_varint(&mut out, (n - lit_start) as u64);
+        write_varint(out, (n - lit_start) as u64);
         out.extend_from_slice(&input[lit_start..n]);
-        write_varint(&mut out, 0);
+        write_varint(out, 0);
+    }
+
+    /// [`Self::lz_compress_into`] into a fresh buffer with fresh tables.
+    fn lz_compress(&self, input: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.lz_compress_into(input, &mut LzScratch::default(), &mut out);
         out
+    }
+
+    /// Decodes a raw LZ token stream, appending to `out`, which must
+    /// not grow past `limit` bytes (a bound from the caller's framing,
+    /// so a corrupt stream cannot balloon the allocation).
+    pub(crate) fn lz_decompress_into(
+        &self,
+        input: &[u8],
+        out: &mut Vec<u8>,
+        limit: usize,
+    ) -> Result<()> {
+        self.decode_tokens(Interleaved { buf: input, pos: 0 }, out, limit)
+    }
+
+    /// [`Self::lz_decompress_into`] for a token stream split by
+    /// [`split_tokens`] into its [`TOKEN_CLASSES`] class streams.
+    pub(crate) fn lz_decompress_split_into(
+        &self,
+        streams: [&[u8]; TOKEN_CLASSES],
+        out: &mut Vec<u8>,
+        limit: usize,
+    ) -> Result<()> {
+        let split = Split {
+            streams,
+            pos: [0; TOKEN_CLASSES],
+        };
+        self.decode_tokens(split, out, limit)
+    }
+
+    fn decode_tokens<'a>(
+        &self,
+        mut tokens: impl Tokens<'a>,
+        out: &mut Vec<u8>,
+        limit: usize,
+    ) -> Result<()> {
+        let dict_bytes: &[u8] = self.dict.as_ref().map_or(&[], |d| d.bytes.as_slice());
+        let dlen = dict_bytes.len();
+        let base = out.len();
+        loop {
+            let lit_len = tokens.lit_len()?;
+            if lit_len > limit - (out.len() - base) {
+                return Err(Error::Corruption("LZ output exceeds its bound".into()));
+            }
+            out.extend_from_slice(tokens.literals(lit_len)?);
+            let len_code = tokens.match_code()?;
+            if len_code == 0 {
+                return tokens.finish();
+            }
+            let produced = out.len() - base;
+            let dist = tokens.distance()?;
+            if dist == 0 || dist > produced + dlen {
+                return Err(Error::Corruption(format!(
+                    "bad match distance {dist} at output {produced}"
+                )));
+            }
+            let mlen = len_code
+                .checked_add(MIN_MATCH - 1)
+                .filter(|&m| m <= limit - produced)
+                .ok_or_else(|| Error::Corruption("LZ output exceeds its bound".into()))?;
+            if dist <= produced {
+                // Entirely within produced output (may overlap itself).
+                copy_from_output(out, out.len() - dist, mlen);
+            } else {
+                // Starts in the dictionary; may cross into produced
+                // output, which it then reads from its start.
+                let start = dlen - (dist - produced);
+                let from_dict = mlen.min(dlen - start);
+                out.extend_from_slice(&dict_bytes[start..start + from_dict]);
+                copy_from_output(out, base, mlen - from_dict);
+            }
+        }
     }
 
     /// Decodes a raw LZ token stream.
     fn lz_decompress(&self, input: &[u8]) -> Result<Vec<u8>> {
-        let dict_bytes: &[u8] = self
-            .dict
-            .as_ref()
-            .map(|d| d.bytes.as_slice())
-            .unwrap_or(&[]);
-        let dlen = dict_bytes.len();
-        let mut out: Vec<u8> = Vec::with_capacity(input.len() * 3);
-        let mut pos = 0usize;
-        loop {
-            let lit_len = read_varint(input, &mut pos)? as usize;
-            if pos + lit_len > input.len() {
-                return Err(Error::Corruption("literal run overflows buffer".into()));
-            }
-            out.extend_from_slice(&input[pos..pos + lit_len]);
-            pos += lit_len;
-            if pos >= input.len() {
-                // Stream must end with the 0 end-marker; tolerate exactly-consumed
-                // buffers only when the marker was the last byte read.
-                return Err(Error::Corruption("missing end marker".into()));
-            }
-            let len_code = read_varint(input, &mut pos)? as usize;
-            if len_code == 0 {
-                if pos != input.len() {
-                    return Err(Error::Corruption(
-                        "trailing garbage after end marker".into(),
-                    ));
-                }
-                return Ok(out);
-            }
-            let mlen = len_code + MIN_MATCH - 1;
-            let dist = read_varint(input, &mut pos)? as usize;
-            if dist == 0 || dist > out.len() + dlen {
-                return Err(Error::Corruption(format!(
-                    "bad match distance {dist} at output {}",
-                    out.len()
-                )));
-            }
-            if dist <= out.len() {
-                // Entirely within produced output (may overlap itself).
-                let start = out.len() - dist;
-                for k in 0..mlen {
-                    let b = out[start + k];
-                    out.push(b);
-                }
-            } else {
-                // Starts in the dictionary; may cross into produced output.
-                // Copy from the combined history (dict ++ out), whose window
-                // grows as bytes are appended — overlap is fine.
-                let start = dlen + out.len() - dist;
-                for k in 0..mlen {
-                    let src = start + k;
-                    let b = if src < dlen {
-                        dict_bytes[src]
-                    } else {
-                        out[src - dlen]
-                    };
-                    out.push(b);
-                }
-            }
+        let mut out = Vec::with_capacity(input.len() * 3);
+        self.lz_decompress_into(input, &mut out, usize::MAX)?;
+        Ok(out)
+    }
+}
+
+/// Token classes of an LZ stream, each of which a block frame's entropy
+/// stage codes with its own Huffman code: literal bytes, literal-run
+/// lengths, match lengths, the first byte of each distance and the
+/// distances' continuation bytes. Their byte statistics differ enough
+/// that separate codes beat one shared code by about a fifth on
+/// templated records.
+pub(crate) const TOKEN_CLASSES: usize = 5;
+const CLASS_LITERAL: usize = 0;
+const CLASS_LIT_LEN: usize = 1;
+const CLASS_MATCH_LEN: usize = 2;
+const CLASS_DIST_FIRST: usize = 3;
+const CLASS_DIST_REST: usize = 4;
+
+/// Calls `f(class, bytes)` for each piece of a well-formed token stream
+/// (as [`Tzstd::lz_compress_into`] writes it), in stream order.
+pub(crate) fn for_each_token_piece(lz: &[u8], mut f: impl FnMut(usize, &[u8])) {
+    let mut pos = 0usize;
+    let varint = |pos: &mut usize| {
+        let start = *pos;
+        let v = read_varint(lz, pos).expect("well-formed token stream");
+        (start, v as usize)
+    };
+    loop {
+        let (s, lit) = varint(&mut pos);
+        f(CLASS_LIT_LEN, &lz[s..pos]);
+        f(CLASS_LITERAL, &lz[pos..pos + lit]);
+        pos += lit;
+        let (s, code) = varint(&mut pos);
+        f(CLASS_MATCH_LEN, &lz[s..pos]);
+        if code == 0 {
+            return;
         }
+        let (s, _) = varint(&mut pos);
+        f(CLASS_DIST_FIRST, &lz[s..s + 1]);
+        f(CLASS_DIST_REST, &lz[s + 1..pos]);
+    }
+}
+
+/// Splits a well-formed token stream into its class streams, appended
+/// to `streams` (the inverse of [`Tzstd::lz_decompress_split_into`]'s
+/// reading).
+pub(crate) fn split_tokens(lz: &[u8], streams: &mut [Vec<u8>; TOKEN_CLASSES]) {
+    for_each_token_piece(lz, |class, bytes| streams[class].extend_from_slice(bytes));
+}
+
+/// Where the LZ decoder reads its tokens from. Every read past the end
+/// of its stream is [`Error::Corruption`].
+trait Tokens<'a> {
+    fn lit_len(&mut self) -> Result<usize>;
+    fn literals(&mut self, n: usize) -> Result<&'a [u8]>;
+    fn match_code(&mut self) -> Result<usize>;
+    fn distance(&mut self) -> Result<usize>;
+    /// After the end marker: errors unless every byte was consumed.
+    fn finish(&self) -> Result<()>;
+}
+
+/// The one-stream token format.
+struct Interleaved<'a> {
+    buf: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Tokens<'a> for Interleaved<'a> {
+    fn lit_len(&mut self) -> Result<usize> {
+        Ok(read_varint(self.buf, &mut self.pos)? as usize)
+    }
+
+    fn literals(&mut self, n: usize) -> Result<&'a [u8]> {
+        take(self.buf, &mut self.pos, n)
+    }
+
+    fn match_code(&mut self) -> Result<usize> {
+        self.lit_len()
+    }
+
+    fn distance(&mut self) -> Result<usize> {
+        self.lit_len()
+    }
+
+    fn finish(&self) -> Result<()> {
+        finished(&[self.buf], &[self.pos])
+    }
+}
+
+/// The token stream split into class streams.
+struct Split<'a> {
+    streams: [&'a [u8]; TOKEN_CLASSES],
+    pos: [usize; TOKEN_CLASSES],
+}
+
+impl<'a> Tokens<'a> for Split<'a> {
+    fn lit_len(&mut self) -> Result<usize> {
+        Ok(read_varint(self.streams[CLASS_LIT_LEN], &mut self.pos[CLASS_LIT_LEN])? as usize)
+    }
+
+    fn literals(&mut self, n: usize) -> Result<&'a [u8]> {
+        take(self.streams[CLASS_LITERAL], &mut self.pos[CLASS_LITERAL], n)
+    }
+
+    fn match_code(&mut self) -> Result<usize> {
+        Ok(read_varint(
+            self.streams[CLASS_MATCH_LEN],
+            &mut self.pos[CLASS_MATCH_LEN],
+        )? as usize)
+    }
+
+    fn distance(&mut self) -> Result<usize> {
+        let first = take(
+            self.streams[CLASS_DIST_FIRST],
+            &mut self.pos[CLASS_DIST_FIRST],
+            1,
+        )?[0];
+        let low = (first & 0x7f) as usize;
+        if first & 0x80 == 0 {
+            return Ok(low);
+        }
+        let rest = read_varint(
+            self.streams[CLASS_DIST_REST],
+            &mut self.pos[CLASS_DIST_REST],
+        )?;
+        usize::try_from(rest)
+            .ok()
+            .and_then(|r| r.checked_mul(128))
+            .and_then(|r| r.checked_add(low))
+            .ok_or_else(|| Error::Corruption("LZ distance overflows".into()))
+    }
+
+    fn finish(&self) -> Result<()> {
+        finished(&self.streams, &self.pos)
+    }
+}
+
+/// The next `n` bytes of `buf` at `*pos`.
+#[inline]
+fn take<'a>(buf: &'a [u8], pos: &mut usize, n: usize) -> Result<&'a [u8]> {
+    if n > buf.len() - *pos {
+        return Err(Error::Corruption("LZ token stream truncated".into()));
+    }
+    *pos += n;
+    Ok(&buf[*pos - n..*pos])
+}
+
+fn finished(streams: &[&[u8]], pos: &[usize]) -> Result<()> {
+    if streams.iter().zip(pos).any(|(s, &p)| p != s.len()) {
+        return Err(Error::Corruption(
+            "trailing garbage after end marker".into(),
+        ));
+    }
+    Ok(())
+}
+
+/// Appends `len` bytes copied from `out[src..]`, where the source may
+/// overlap the bytes being appended (an LZ match longer than its
+/// distance repeats the last `out.len() - src` bytes). Copies by slice:
+/// each round appends as much of the source as exists, so the copyable
+/// span doubles until the match is done.
+#[inline]
+fn copy_from_output(out: &mut Vec<u8>, src: usize, mut len: usize) {
+    while len > 0 {
+        let chunk = len.min(out.len() - src);
+        out.extend_from_within(src..src + chunk);
+        len -= chunk;
     }
 }
 
@@ -613,6 +900,112 @@ mod tests {
         assert!(c.decompress(&[0x80]).is_err());
     }
 
+    /// The byte-at-a-time decoder the slice copies replaced: the
+    /// reference for every match shape (overlapping, dictionary-crossing,
+    /// both).
+    fn reference_decode(dict: &[u8], tokens: &[u8]) -> Vec<u8> {
+        let mut out: Vec<u8> = Vec::new();
+        let mut pos = 0;
+        loop {
+            let lit = read_varint(tokens, &mut pos).unwrap() as usize;
+            out.extend_from_slice(&tokens[pos..pos + lit]);
+            pos += lit;
+            let code = read_varint(tokens, &mut pos).unwrap() as usize;
+            if code == 0 {
+                return out;
+            }
+            let dist = read_varint(tokens, &mut pos).unwrap() as usize;
+            let start = dict.len() + out.len() - dist;
+            for k in 0..code + MIN_MATCH - 1 {
+                let src = start + k;
+                let b = if src < dict.len() {
+                    dict[src]
+                } else {
+                    out[src - dict.len()]
+                };
+                out.push(b);
+            }
+        }
+    }
+
+    /// Builds a valid token stream from `(literal, match_len, dist_seed)`
+    /// steps, clamping each distance into the history.
+    fn token_stream(dict_len: usize, steps: &[(Vec<u8>, usize, usize)]) -> Vec<u8> {
+        let mut tokens = Vec::new();
+        let mut produced = 0usize;
+        for (lit, mlen, dist_seed) in steps {
+            let lit: &[u8] = if lit.is_empty() && produced + dict_len == 0 {
+                b"!"
+            } else {
+                lit
+            };
+            write_varint(&mut tokens, lit.len() as u64);
+            tokens.extend_from_slice(lit);
+            produced += lit.len();
+            write_varint(&mut tokens, (mlen - MIN_MATCH + 1) as u64);
+            write_varint(&mut tokens, (1 + dist_seed % (produced + dict_len)) as u64);
+            produced += mlen;
+        }
+        write_varint(&mut tokens, 0);
+        write_varint(&mut tokens, 0);
+        tokens
+    }
+
+    fn decode_both_ways(dict: &[u8], tokens: &[u8]) -> (Vec<u8>, Vec<u8>) {
+        let tz = if dict.is_empty() {
+            Tzstd::new(TzstdLevel(1))
+        } else {
+            Tzstd::with_dict(TzstdLevel(1), Arc::new(TrainedDict::new(dict.to_vec())))
+        };
+        let mut interleaved = Vec::new();
+        tz.lz_decompress_into(tokens, &mut interleaved, usize::MAX)
+            .unwrap();
+        let mut streams: [Vec<u8>; TOKEN_CLASSES] = Default::default();
+        split_tokens(tokens, &mut streams);
+        let mut split = Vec::new();
+        tz.lz_decompress_split_into(
+            streams.each_ref().map(Vec::as_slice),
+            &mut split,
+            usize::MAX,
+        )
+        .unwrap();
+        (interleaved, split)
+    }
+
+    #[test]
+    fn slice_copies_match_the_bytewise_reference() {
+        let dict = b"abcdefgh";
+        let cases: Vec<Vec<(Vec<u8>, usize, usize)>> = vec![
+            // Overlap within the output (distance 1 and 2).
+            vec![(b"X".to_vec(), 20, 0), (b"Y".to_vec(), 33, 1)],
+            // Starts in the dictionary, crosses into the output and
+            // overlaps what it is producing.
+            vec![(b"XY".to_vec(), 30, 9)],
+            // Dictionary-crossing with nothing produced yet.
+            vec![(Vec::new(), 12, 2)],
+            // Long enough for several doubling rounds.
+            vec![(b"abc".to_vec(), 5000, 2)],
+        ];
+        for steps in cases {
+            let tokens = token_stream(dict.len(), &steps);
+            let expect = reference_decode(dict, &tokens);
+            let (interleaved, split) = decode_both_ways(dict, &tokens);
+            assert_eq!(interleaved, expect);
+            assert_eq!(split, expect);
+        }
+    }
+
+    #[test]
+    fn decode_bound_is_enforced() {
+        let tz = Tzstd::new(TzstdLevel(1));
+        let tokens = token_stream(0, &[(b"ab".to_vec(), 100, 0)]);
+        let mut out = Vec::new();
+        assert!(tz.lz_decompress_into(&tokens, &mut out, 101).is_err());
+        out.clear();
+        tz.lz_decompress_into(&tokens, &mut out, 102).unwrap();
+        assert_eq!(out.len(), 102);
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -633,6 +1026,35 @@ mod tests {
         ) {
             let d = Arc::new(TrainedDict::new(dict));
             roundtrip(&Tzstd::with_dict(TzstdLevel(15), d), &data);
+        }
+
+        /// Random match shapes decode like the bytewise reference,
+        /// from the interleaved stream and from its class streams.
+        #[test]
+        fn prop_slice_copies_match_reference(
+            dict in proptest::collection::vec(any::<u8>(), 0..40),
+            raw_steps in proptest::collection::vec(
+                (proptest::collection::vec(any::<u8>(), 0..6), 4usize..300, any::<usize>()),
+                0..12,
+            ),
+        ) {
+            let tokens = token_stream(dict.len(), &raw_steps);
+            let expect = reference_decode(&dict, &tokens);
+            let (interleaved, split) = decode_both_ways(&dict, &tokens);
+            prop_assert_eq!(&interleaved, &expect);
+            prop_assert_eq!(&split, &expect);
+        }
+
+        /// Compressor output splits into class streams and decodes back.
+        #[test]
+        fn prop_split_streams_roundtrip(
+            data in proptest::collection::vec(0u8..8, 0..3000),
+        ) {
+            let c = Tzstd::new(TzstdLevel(4));
+            let tokens = c.lz_compress(&data);
+            let (interleaved, split) = decode_both_ways(&[], &tokens);
+            prop_assert_eq!(&interleaved, &data);
+            prop_assert_eq!(&split, &data);
         }
 
         #[test]

@@ -1,12 +1,14 @@
-//! Adaptive order-0 range coder — tzstd's entropy stage.
+//! Adaptive order-0 range coder — tzstd's per-record entropy stage.
 //!
 //! Real Zstandard entropy-codes its LZ token streams with FSE/Huffman.
-//! A table-based header is too expensive for 100-byte records, so tzstd
-//! uses an *adaptive* byte-wise range coder instead (the classic
-//! Subbotin carryless design): encoder and decoder grow identical
-//! frequency tables as they go, so no table is transmitted at all.
-//! Compression on short machine-generated records (hex ids, digits,
-//! repeated field names) is where this earns its keep.
+//! A table-based header is too expensive for 100-byte records, so a
+//! per-record tzstd frame uses an *adaptive* byte-wise range coder
+//! instead (the classic Subbotin carryless design): encoder and decoder
+//! grow identical frequency tables as they go, so no table is
+//! transmitted at all. Compression on short machine-generated records
+//! (hex ids, digits, repeated field names) is where this earns its
+//! keep. SSTable block frames amortize static tables over a whole
+//! table instead ([`crate::huffman`]).
 
 use tb_common::{Error, Result};
 

@@ -48,9 +48,19 @@ impl BloomFilter {
         }
     }
 
+    /// The base hash pair of a key: a table builder keeps these instead
+    /// of the keys until it knows the filter size.
+    pub fn hash(key: &[u8]) -> (u64, u64) {
+        hash_pair(key)
+    }
+
     /// Inserts a key.
     pub fn insert(&mut self, key: &[u8]) {
-        let (h1, h2) = hash_pair(key);
+        self.insert_hash(hash_pair(key));
+    }
+
+    /// Inserts a key by its [`Self::hash`].
+    pub fn insert_hash(&mut self, (h1, h2): (u64, u64)) {
         for i in 0..self.k {
             let bit = h1.wrapping_add((i as u64).wrapping_mul(h2)) % self.n_bits;
             self.bits[(bit / 64) as usize] |= 1 << (bit % 64);

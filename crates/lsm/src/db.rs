@@ -13,7 +13,7 @@
 //! *storage tier*, whose throughput the paper models as RPC-bounded
 //! anyway.
 
-use crate::compaction::{level_bytes, level_limit, merge_runs};
+use crate::compaction::{level_bytes, level_limit, merge_into_tables, RunCursor};
 use crate::memtable::{Entry, Memtable};
 use crate::read_pool::{FetchJob, ReadPool};
 use crate::sstable::{
@@ -124,6 +124,11 @@ pub struct LsmStats {
     /// Raw block bytes before framing — with
     /// `compressed_bytes_written`, the store's real compression ratio.
     pub uncompressed_bytes_written: AtomicU64,
+    /// High-water mark of a compaction merge's memory: decoded input
+    /// blocks held by the run cursors plus the current output table's
+    /// buffered blocks. Bounded by the input count times the block size
+    /// plus `memtable_bytes`, whatever the size of the levels merged.
+    pub compaction_merge_peak_bytes: AtomicU64,
     /// Decode-side counters (CRC-verified frames, decompressions,
     /// corruption errors), shared by every table this engine opens.
     pub decode: Arc<SstDecodeStats>,
@@ -308,6 +313,10 @@ impl LsmDb {
                 b.counter(
                     "lsm_block_decode_errors",
                     c(&stats.decode.block_decode_errors),
+                );
+                b.gauge(
+                    "lsm_compaction_merge_peak_bytes",
+                    c(&stats.compaction_merge_peak_bytes) as i64,
                 );
                 if let Some(depth) = &pool_depth {
                     b.gauge("lsm_read_pool_queue_depth", depth.current() as i64);
@@ -918,52 +927,62 @@ impl LsmDb {
 
     fn compact_into_inner(&self, inner: &mut Inner, src: usize) -> Result<()> {
         let dst = src + 1;
-        let mut runs: Vec<Vec<(Key, Entry)>> = Vec::new();
-        // L0 tables are newest-first already; deeper levels hold one run.
-        for table in &inner.levels[src] {
-            runs.push(table.scan()?);
-        }
-        for table in &inner.levels[dst] {
-            runs.push(table.scan()?);
-        }
+        // Runs newest first: each L0 table is a run of its own (they
+        // overlap); a deeper level is one run of key-ordered tables.
+        let mut runs: Vec<RunCursor> = if src == 0 {
+            inner.levels[0]
+                .iter()
+                .map(|t| RunCursor::new(vec![t.clone()]))
+                .collect()
+        } else {
+            vec![RunCursor::new(inner.levels[src].clone())]
+        };
+        runs.push(RunCursor::new(inner.levels[dst].clone()));
         // Tombstones can drop only when nothing lives below dst.
         let nothing_below = inner.levels[dst + 1..].iter().all(|l| l.is_empty());
-        let merged = merge_runs(runs, nothing_below);
+
+        // Stream the merge into output tables cut at the memtable size,
+        // each written and fsynced *before* the inputs leave the
+        // in-memory tree: a failed write must leave the levels serving
+        // exactly what they served before. The outputs share one codec
+        // training (dictionary or PBC model, from the merge's first
+        // values); each builds Huffman codes from its own blocks.
+        let merged = merge_into_tables(
+            runs,
+            nothing_below,
+            self.config.memtable_bytes,
+            &self.config.sst,
+            || {
+                let id = self.next_file_id.fetch_add(1, Ordering::SeqCst);
+                (id, self.config.dir.join(format!("{id:010}.sst")))
+            },
+        )?;
+        self.stats
+            .compaction_merge_peak_bytes
+            .fetch_max(merged.peak_bytes as u64, Ordering::Relaxed);
+        let mut outputs = Vec::with_capacity(merged.tables.len());
+        for (meta, _) in &merged.tables {
+            match SstReader::open_shared(meta.clone(), self.stats.decode.clone()) {
+                Ok(r) => outputs.push(Arc::new(r)),
+                Err(e) => {
+                    for (meta, _) in &merged.tables {
+                        let _ = std::fs::remove_file(&meta.path);
+                    }
+                    return Err(e);
+                }
+            }
+        }
+        for (_, build) in &merged.tables {
+            self.stats.add_build(build);
+        }
 
         let obsolete: Vec<PathBuf> = inner.levels[src]
             .iter()
             .chain(inner.levels[dst].iter())
             .map(|t| t.meta.path.clone())
             .collect();
-
-        // Write the merged table *before* dropping the inputs from the
-        // in-memory tree: a failed write must leave the levels serving
-        // exactly what they served before.
-        let new_table = if merged.is_empty() {
-            None
-        } else {
-            let id = self.next_file_id.fetch_add(1, Ordering::SeqCst);
-            let path = self.config.dir.join(format!("{id:010}.sst"));
-            // Compaction re-samples the merged input and re-encodes:
-            // the output table trains its own dictionary.
-            let (meta, build) =
-                write_sstable_with_stats(id, &path, merged.into_iter(), &self.config.sst)?;
-            match SstReader::open_shared(meta, self.stats.decode.clone()) {
-                Ok(r) => {
-                    self.stats.add_build(&build);
-                    Some(Arc::new(r))
-                }
-                Err(e) => {
-                    let _ = std::fs::remove_file(&path);
-                    return Err(e);
-                }
-            }
-        };
         inner.levels[src].clear();
-        inner.levels[dst].clear();
-        if let Some(table) = new_table {
-            inner.levels[dst].push(table);
-        }
+        inner.levels[dst] = outputs;
         self.stats.compactions.fetch_add(1, Ordering::Relaxed);
         self.write_manifest(inner)?;
         // Input tables leave the disk only after the manifest stopped
@@ -1415,6 +1434,53 @@ mod tests {
         for i in 0..1000 {
             assert_eq!(db.get(&k(i)).unwrap(), None);
         }
+    }
+
+    #[test]
+    fn compaction_merge_memory_stays_flat_as_levels_grow() {
+        // The same engine loaded with 1× and 4× the data: the larger
+        // store's compactions merge levels four times bigger, into
+        // several output tables per level, yet the merge's peak memory
+        // (decoded input blocks + one output build) stays the same.
+        let run = |n: usize| {
+            let dir = tmpdir("mergepeak");
+            let db = LsmDb::open(LsmConfig::small_for_tests(dir.path())).unwrap();
+            for i in 0..n {
+                db.put(k(i), v(i, "peak")).unwrap();
+            }
+            db.flush().unwrap();
+            let peak = db.stats.compaction_merge_peak_bytes.load(Ordering::Relaxed);
+            let (largest_level, tables_bytes) = {
+                let inner = db.inner.read();
+                let split = inner.levels[1..].iter().any(|l| l.len() > 1);
+                assert!(
+                    split,
+                    "compaction outputs should split at the memtable size"
+                );
+                let sizes: Vec<u64> = inner
+                    .levels
+                    .iter()
+                    .map(|l| l.iter().map(|t| t.meta.file_size).sum())
+                    .collect();
+                (*sizes.iter().max().unwrap(), sizes.iter().sum::<u64>())
+            };
+            for i in (0..n).step_by(97) {
+                assert_eq!(db.get(&k(i)).unwrap(), Some(v(i, "peak")));
+            }
+            (peak, largest_level, tables_bytes)
+        };
+        let (peak_1x, _, bytes_1x) = run(3_000);
+        let (peak_4x, level_4x, bytes_4x) = run(12_000);
+        assert!(bytes_4x >= 3 * bytes_1x, "tables {bytes_1x} -> {bytes_4x}");
+        let block = SstConfig::default().block_size as u64;
+        assert!(peak_1x > 0);
+        assert!(
+            peak_4x <= peak_1x + block,
+            "merge peak grew with the level: {peak_1x} -> {peak_4x} bytes"
+        );
+        // Bounded by inputs × block + one output build, far below the
+        // level being merged.
+        assert!(peak_4x * 4 < level_4x, "peak {peak_4x} vs level {level_4x}");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Block-based sorted string tables with compressed, checksummed
 //! block frames.
 //!
-//! File layout (v2, the only format written):
+//! File layout (v3, the only format written):
 //!
 //! ```text
 //! [block frame]* [dict payload] [filter block] [index block] [footer]
@@ -16,14 +16,18 @@
 //! Blocks are sized pre-compression (`SstConfig::block_size` bounds the
 //! *uncompressed* payload) and framed through the table's
 //! [`BlockCodec`]; index entries point at the variable-length on-disk
-//! frames. The codec's trained state (tzstd dictionary / PBC model) is
-//! sampled from the input values and stored as the table-level dict
-//! payload, so a table is self-describing. Every block read verifies
-//! the frame CRC before any key search; a bad block is a per-slot
-//! [`Error::Corruption`], never a torn batch.
+//! frames. The codec's trained state — tzstd dictionary plus the
+//! table's static Huffman codes, or the PBC model — is sampled from the
+//! input values (a compaction's outputs share one training; Huffman
+//! codes are always the table's own) and stored as the table-level dict
+//! payload, so a table is self-describing; [`SstReader::open`] rebuilds
+//! it, decode tables included, once. Every block read verifies the frame CRC before any
+//! key search; a bad block is a per-slot [`Error::Corruption`], never a
+//! torn batch.
 //!
-//! Tables written before the framed format (raw blocks, 36-byte
-//! footer) are rejected at open with [`Error::Corruption`].
+//! Tables of earlier formats — raw blocks (v1), or frames entropy-coded
+//! with the adaptive range coder (v2) — are rejected at open with
+//! [`Error::Corruption`].
 //!
 //! Readers keep the sparse index and bloom filter in memory and read
 //! one frame per point lookup.
@@ -36,8 +40,8 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use tb_common::{crc32, fault, read_varint, write_varint, Error, Key, Result, Value};
-use tb_compress::block::MAX_TRAIN_SAMPLES;
 pub use tb_compress::block::{BlockCodec, FRAME_HEADER_LEN, FRAME_TAG_STORED};
+use tb_compress::block::{TableEncoder, MAX_TRAIN_SAMPLES};
 use tb_compress::BlockCodecState;
 
 /// Fsyncs `path`'s parent directory so a just-renamed file survives a
@@ -50,8 +54,8 @@ pub(crate) fn sync_parent_dir(path: &Path, site: &'static str) -> Result<()> {
     Ok(())
 }
 
-/// Framed format: compressed, checksummed blocks + dict payload.
-const FOOTER_MAGIC: u32 = 0x7b5d_57a2;
+/// Framed format with per-table Huffman-coded LZ frames (v3).
+const FOOTER_MAGIC: u32 = 0x7b5d_57a3;
 const FOOTER_LEN: usize = 8 + 4 + 1 + 8 + 4 + 8 + 4 + 4 + 4 + 4;
 const FLAG_PUT: u8 = 0;
 const FLAG_TOMBSTONE: u8 = 1;
@@ -135,144 +139,230 @@ pub fn write_sstable_with_stats(
     entries: impl Iterator<Item = (Key, Entry)>,
     config: &SstConfig,
 ) -> Result<(SstMeta, SstBuildStats)> {
-    // Pass 1 (streaming): encode entries into uncompressed blocks cut
-    // at `block_size`, collecting the codec's training samples (first
-    // MAX_TRAIN_SAMPLES put values — deterministic for a fixed input).
-    let mut blocks: Vec<(Key, Vec<u8>)> = Vec::new();
-    let mut block = Vec::new();
-    let mut block_first_key: Option<Key> = None;
-    let mut samples: Vec<Vec<u8>> = Vec::new();
-    let mut filter_items: Vec<Key> = Vec::new();
-    let mut min_key: Option<Key> = None;
-    let mut max_key: Option<Key> = None;
-    let mut entry_count = 0u32;
-    let mut prev_key: Option<Key> = None;
-
+    let mut builder = TableBuilder::new(id, path, config);
     for (key, entry) in entries {
-        if let Some(prev) = &prev_key {
+        builder.add(key, &entry)?;
+    }
+    builder.finish()
+}
+
+/// Streams a strictly sorted entry sequence into one SSTable: entries
+/// are encoded into uncompressed blocks cut at `block_size` as they
+/// arrive, and [`Self::finish`] frames the blocks through the table's
+/// codec and publishes the file. What it holds until then is
+/// [`Self::buffered_bytes`] of blocks plus one bloom hash pair per key,
+/// so a caller that bounds the former (compaction cuts its outputs at a
+/// size) bounds the build.
+pub struct TableBuilder {
+    id: u64,
+    path: PathBuf,
+    config: SstConfig,
+    /// Finished blocks with their first keys.
+    blocks: Vec<(Key, Vec<u8>)>,
+    block: Vec<u8>,
+    block_first_key: Option<Key>,
+    buffered: usize,
+    /// The codec's training samples: the first [`MAX_TRAIN_SAMPLES`]
+    /// put values, deterministic for a fixed input.
+    samples: Vec<Vec<u8>>,
+    key_hashes: Vec<(u64, u64)>,
+    min_key: Option<Key>,
+    last_key: Option<Key>,
+}
+
+impl TableBuilder {
+    pub fn new(id: u64, path: &Path, config: &SstConfig) -> Self {
+        Self {
+            id,
+            path: path.to_path_buf(),
+            config: *config,
+            blocks: Vec::new(),
+            block: Vec::new(),
+            block_first_key: None,
+            buffered: 0,
+            samples: Vec::new(),
+            key_hashes: Vec::new(),
+            min_key: None,
+            last_key: None,
+        }
+    }
+
+    /// Appends the next entry; keys must be strictly increasing.
+    pub fn add(&mut self, key: Key, entry: &Entry) -> Result<()> {
+        if let Some(prev) = &self.last_key {
             if *prev >= key {
                 return Err(Error::InvalidArgument(format!(
                     "entries must be strictly sorted: {prev:?} >= {key:?}"
                 )));
             }
         }
-        prev_key = Some(key.clone());
-        if block_first_key.is_none() {
-            block_first_key = Some(key.clone());
-        }
-        match &entry {
+        let before = self.block.len();
+        match entry {
             Entry::Put(v) => {
-                block.push(FLAG_PUT);
-                write_varint(&mut block, key.len() as u64);
-                write_varint(&mut block, v.len() as u64);
-                block.extend_from_slice(key.as_slice());
-                block.extend_from_slice(v.as_slice());
-                if samples.len() < MAX_TRAIN_SAMPLES {
-                    samples.push(v.as_slice().to_vec());
+                self.block.push(FLAG_PUT);
+                write_varint(&mut self.block, key.len() as u64);
+                write_varint(&mut self.block, v.len() as u64);
+                self.block.extend_from_slice(key.as_slice());
+                self.block.extend_from_slice(v.as_slice());
+                if self.samples.len() < MAX_TRAIN_SAMPLES {
+                    self.samples.push(v.as_slice().to_vec());
                 }
             }
             Entry::Tombstone => {
-                block.push(FLAG_TOMBSTONE);
-                write_varint(&mut block, key.len() as u64);
-                write_varint(&mut block, 0);
-                block.extend_from_slice(key.as_slice());
+                self.block.push(FLAG_TOMBSTONE);
+                write_varint(&mut self.block, key.len() as u64);
+                write_varint(&mut self.block, 0);
+                self.block.extend_from_slice(key.as_slice());
             }
         }
-        filter_items.push(key.clone());
-        min_key.get_or_insert_with(|| key.clone());
-        max_key = Some(key.clone());
-        entry_count += 1;
+        self.buffered += self.block.len() - before;
+        self.key_hashes.push(BloomFilter::hash(key.as_slice()));
+        self.min_key.get_or_insert_with(|| key.clone());
+        if self.block_first_key.is_none() {
+            self.block_first_key = Some(key.clone());
+        }
+        self.last_key = Some(key);
+        if self.block.len() >= self.config.block_size {
+            self.cut_block();
+        }
+        Ok(())
+    }
 
-        if block.len() >= config.block_size {
-            let first = block_first_key.take().expect("block has a first key");
-            blocks.push((first, std::mem::take(&mut block)));
+    fn cut_block(&mut self) {
+        if let Some(first) = self.block_first_key.take() {
+            self.blocks.push((first, std::mem::take(&mut self.block)));
         }
     }
-    if let Some(first) = block_first_key.take() {
-        blocks.push((first, std::mem::take(&mut block)));
-    }
-    if entry_count == 0 {
-        return Err(Error::InvalidArgument(
-            "refusing to write empty sstable".into(),
-        ));
+
+    /// Uncompressed block bytes held so far.
+    pub fn buffered_bytes(&self) -> usize {
+        self.buffered
     }
 
-    // Pass 2: train the codec on the sampled values, then frame-encode
-    // every block. Index entries point at the on-disk frame extents.
-    let codec_state = BlockCodecState::train(config.codec, &samples);
-    let mut stats = SstBuildStats::default();
-    let mut data = Vec::new();
-    let mut index = Vec::new();
-    for (first, raw) in &blocks {
-        let frame_start = data.len();
-        stats.blocks += 1;
-        stats.uncompressed_bytes += raw.len() as u64;
-        if codec_state.encode_frame(raw, &mut data) {
-            stats.blocks_compressed += 1;
+    /// Frames every block, writes the file (data, dict payload, filter,
+    /// index, footer), fsyncs it, renames it into place and fsyncs the
+    /// directory. The codec trains on this table's own samples.
+    pub fn finish(self) -> Result<(SstMeta, SstBuildStats)> {
+        self.finish_sharing(&mut None)
+    }
+
+    /// [`Self::finish`] for one of a run of tables that share their
+    /// codec training: with `trained` empty, the codec trains on this
+    /// table's samples and leaves a copy there; otherwise this table
+    /// reuses that dictionary or model (its Huffman codes are always its
+    /// own).
+    pub fn finish_sharing(
+        mut self,
+        trained: &mut Option<BlockCodecState>,
+    ) -> Result<(SstMeta, SstBuildStats)> {
+        self.cut_block();
+        let entry_count = self.key_hashes.len() as u32;
+        if entry_count == 0 {
+            return Err(Error::InvalidArgument(
+                "refusing to write empty sstable".into(),
+            ));
         }
-        write_varint(&mut index, first.len() as u64);
-        index.extend_from_slice(first.as_slice());
-        index.extend_from_slice(&(frame_start as u64).to_le_bytes());
-        index.extend_from_slice(&((data.len() - frame_start) as u32).to_le_bytes());
+
+        // Two passes over the blocks (see `TableEncoder`): parse them
+        // all, build the table's entropy codes, then frame each block.
+        // Index entries point at the on-disk frame extents.
+        // `lsm_block_compress_ns` records each block's share of both.
+        let mut parse_ns = Vec::with_capacity(self.blocks.len());
+        let mut encoder = match trained {
+            Some(state) => TableEncoder::with_trained(state.trained()),
+            None => {
+                let encoder = TableEncoder::new(self.config.codec, &self.samples);
+                *trained = Some(encoder.state().trained());
+                encoder
+            }
+        };
+        for (_, raw) in &self.blocks {
+            let t0 = tb_obs::start();
+            encoder.parse(raw);
+            parse_ns.push(t0.map_or(0, |t0| t0.elapsed().as_nanos() as u64));
+        }
+        encoder.seal();
+        let mut stats = SstBuildStats::default();
+        let mut data = Vec::new();
+        let mut index = Vec::new();
+        for (i, (first, raw)) in self.blocks.iter().enumerate() {
+            let frame_start = data.len();
+            stats.blocks += 1;
+            stats.uncompressed_bytes += raw.len() as u64;
+            let t0 = tb_obs::start();
+            if encoder.encode(i, raw, &mut data) {
+                stats.blocks_compressed += 1;
+            }
+            if let Some(t0) = t0 {
+                tb_obs::histo!("lsm_block_compress_ns")
+                    .record(parse_ns[i] + t0.elapsed().as_nanos() as u64);
+            }
+            write_varint(&mut index, first.len() as u64);
+            index.extend_from_slice(first.as_slice());
+            index.extend_from_slice(&(frame_start as u64).to_le_bytes());
+            index.extend_from_slice(&((data.len() - frame_start) as u32).to_le_bytes());
+        }
+        let codec_state = encoder.finish();
+        // The dict payload rides in the data region, after the frames, so
+        // the existing `sst.write.data` fault site covers it.
+        let dict_off = data.len() as u64;
+        let dict_payload = codec_state.dict_payload();
+        data.extend_from_slice(dict_payload);
+        stats.compressed_bytes = data.len() as u64;
+
+        let mut bloom = BloomFilter::new(self.key_hashes.len(), self.config.bloom_bits_per_key);
+        for &h in &self.key_hashes {
+            bloom.insert_hash(h);
+        }
+        let filter = bloom.to_bytes();
+
+        let filter_off = data.len() as u64;
+        let index_off = filter_off + filter.len() as u64;
+
+        let mut footer = Vec::with_capacity(FOOTER_LEN);
+        footer.extend_from_slice(&dict_off.to_le_bytes());
+        footer.extend_from_slice(&(dict_payload.len() as u32).to_le_bytes());
+        footer.push(self.config.codec.tag());
+        footer.extend_from_slice(&index_off.to_le_bytes());
+        footer.extend_from_slice(&(index.len() as u32).to_le_bytes());
+        footer.extend_from_slice(&filter_off.to_le_bytes());
+        footer.extend_from_slice(&(filter.len() as u32).to_le_bytes());
+        footer.extend_from_slice(&entry_count.to_le_bytes());
+        let crc = crc32(&footer);
+        footer.extend_from_slice(&crc.to_le_bytes());
+        footer.extend_from_slice(&FOOTER_MAGIC.to_le_bytes());
+
+        let path = &self.path;
+        let tmp = path.with_extension("tmp");
+        let written = (|| -> Result<()> {
+            let mut f = File::create(&tmp)?;
+            fault::write_all("sst.write.data", &mut f, &data)?;
+            fault::write_all("sst.write.filter", &mut f, &filter)?;
+            fault::write_all("sst.write.index", &mut f, &index)?;
+            fault::write_all("sst.write.footer", &mut f, &footer)?;
+            fault::hit("sst.sync")?;
+            f.sync_all()?;
+            fault::hit("sst.rename")?;
+            std::fs::rename(&tmp, path)?;
+            sync_parent_dir(path, "sst.dir_sync")
+        })();
+        if let Err(e) = written {
+            // Don't leave a half-written .tmp behind a transient error.
+            let _ = std::fs::remove_file(&tmp);
+            return Err(e);
+        }
+
+        let file_size = (data.len() + filter.len() + index.len() + FOOTER_LEN) as u64;
+        let meta = SstMeta {
+            id: self.id,
+            path: self.path,
+            min_key: self.min_key.expect("non-empty"),
+            max_key: self.last_key.expect("non-empty"),
+            entry_count,
+            file_size,
+        };
+        Ok((meta, stats))
     }
-    // The dict payload rides in the data region, after the frames, so
-    // the existing `sst.write.data` fault site covers it.
-    let dict_off = data.len() as u64;
-    let dict_payload = codec_state.dict_payload();
-    data.extend_from_slice(dict_payload);
-    stats.compressed_bytes = data.len() as u64;
-
-    let mut bloom = BloomFilter::new(filter_items.len(), config.bloom_bits_per_key);
-    for k in &filter_items {
-        bloom.insert(k.as_slice());
-    }
-    let filter = bloom.to_bytes();
-
-    let filter_off = data.len() as u64;
-    let index_off = filter_off + filter.len() as u64;
-
-    let mut footer = Vec::with_capacity(FOOTER_LEN);
-    footer.extend_from_slice(&dict_off.to_le_bytes());
-    footer.extend_from_slice(&(dict_payload.len() as u32).to_le_bytes());
-    footer.push(config.codec.tag());
-    footer.extend_from_slice(&index_off.to_le_bytes());
-    footer.extend_from_slice(&(index.len() as u32).to_le_bytes());
-    footer.extend_from_slice(&filter_off.to_le_bytes());
-    footer.extend_from_slice(&(filter.len() as u32).to_le_bytes());
-    footer.extend_from_slice(&entry_count.to_le_bytes());
-    let crc = crc32(&footer);
-    footer.extend_from_slice(&crc.to_le_bytes());
-    footer.extend_from_slice(&FOOTER_MAGIC.to_le_bytes());
-
-    let tmp = path.with_extension("tmp");
-    let written = (|| -> Result<()> {
-        let mut f = File::create(&tmp)?;
-        fault::write_all("sst.write.data", &mut f, &data)?;
-        fault::write_all("sst.write.filter", &mut f, &filter)?;
-        fault::write_all("sst.write.index", &mut f, &index)?;
-        fault::write_all("sst.write.footer", &mut f, &footer)?;
-        fault::hit("sst.sync")?;
-        f.sync_all()?;
-        fault::hit("sst.rename")?;
-        std::fs::rename(&tmp, path)?;
-        sync_parent_dir(path, "sst.dir_sync")
-    })();
-    if let Err(e) = written {
-        // Don't leave a half-written .tmp behind a transient error.
-        let _ = std::fs::remove_file(&tmp);
-        return Err(e);
-    }
-
-    let file_size = (data.len() + filter.len() + index.len() + FOOTER_LEN) as u64;
-    let meta = SstMeta {
-        id,
-        path: path.to_path_buf(),
-        min_key: min_key.expect("non-empty"),
-        max_key: max_key.expect("non-empty"),
-        entry_count,
-        file_size,
-    };
-    Ok((meta, stats))
 }
 
 struct IndexEntry {
@@ -450,15 +540,6 @@ impl SstReader {
             },
         };
         Some((first, last.max(first) - first + 1))
-    }
-
-    /// Streams every entry in key order (compaction input).
-    pub fn scan(&self) -> Result<Vec<(Key, Entry)>> {
-        let mut out = Vec::with_capacity(self.meta.entry_count as usize);
-        for i in 0..self.index.len() {
-            out.extend(decode_block(&self.read_block(i)?)?);
-        }
-        Ok(out)
     }
 
     /// Reads and decodes data block `idx` (the IO half of a point
@@ -663,7 +744,9 @@ pub fn find_in_block(block: &[u8], key: &Key) -> Result<Option<Entry>> {
     Ok(None)
 }
 
-fn decode_entry(block: &[u8], mut pos: usize) -> Result<(Key, Entry, usize)> {
+/// Decodes the entry at `pos` of a data block, returning it with the
+/// position of the next entry.
+pub(crate) fn decode_entry(block: &[u8], mut pos: usize) -> Result<(Key, Entry, usize)> {
     let flag = *block
         .get(pos)
         .ok_or_else(|| Error::Corruption("entry flag missing".into()))?;
@@ -720,6 +803,13 @@ mod tests {
         }
     }
 
+    /// Every entry of the table, block by block.
+    fn all_entries(r: &SstReader) -> Vec<(Key, Entry)> {
+        (0..r.block_count())
+            .flat_map(|i| decode_block(&r.read_block(i).unwrap()).unwrap())
+            .collect()
+    }
+
     fn build(name: &str, entries: Vec<(Key, Entry)>) -> (tb_common::TestDir, SstReader) {
         let dir = tmpdir();
         let path = dir.create().join(name);
@@ -759,7 +849,7 @@ mod tests {
     fn scan_returns_sorted_everything() {
         let entries = sample_entries(300);
         let (_dir, r) = build("scan.sst", entries.clone());
-        let scanned = r.scan().unwrap();
+        let scanned = all_entries(&r);
         assert_eq!(scanned, entries);
     }
 
@@ -984,7 +1074,15 @@ mod tests {
             });
             let r = SstReader::open(meta).unwrap();
             assert_eq!(r.codec(), codec);
-            assert_eq!(r.scan().unwrap(), entries, "codec {}", codec.name());
+            // The LZ codecs' frames decode through the Huffman codes the
+            // reader rebuilt from the table's payload.
+            assert_eq!(
+                r.codec_state.has_huffman_codes(),
+                matches!(codec, BlockCodec::Lz | BlockCodec::Dict),
+                "codec {}",
+                codec.name()
+            );
+            assert_eq!(all_entries(&r), entries, "codec {}", codec.name());
             for (k, e) in &entries {
                 assert_eq!(
                     get(&r, k).unwrap().as_ref(),
@@ -1090,11 +1188,18 @@ mod tests {
             &SstConfig::default(),
         )
         .unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
-        let n = bytes.len();
-        bytes[n - 4..].copy_from_slice(&0x7b5d_57a1u32.to_le_bytes());
-        std::fs::write(&path, &bytes).unwrap();
-        assert!(matches!(SstReader::open(meta), Err(Error::Corruption(_))));
+        let good = std::fs::read(&path).unwrap();
+        let n = good.len();
+        // v1 (raw blocks) and v2 (range-coded frames) magics.
+        for old_magic in [0x7b5d_57a1u32, 0x7b5d_57a2] {
+            let mut bytes = good.clone();
+            bytes[n - 4..].copy_from_slice(&old_magic.to_le_bytes());
+            std::fs::write(&path, &bytes).unwrap();
+            assert!(matches!(
+                SstReader::open(meta.clone()),
+                Err(Error::Corruption(_))
+            ));
+        }
     }
 
     #[test]
@@ -1125,7 +1230,40 @@ mod tests {
                 codec.name()
             );
             let r = SstReader::open(meta).unwrap();
-            assert_eq!(r.scan().unwrap(), entries, "codec {}", codec.name());
+            assert_eq!(all_entries(&r), entries, "codec {}", codec.name());
+        }
+    }
+
+    #[test]
+    fn corrupted_huffman_code_table_fails_open() {
+        // The code lengths live in the dict payload, which no CRC
+        // covers: a table whose lengths are not a complete code must
+        // fail open as corruption, not decode garbage.
+        let dir = tmpdir();
+        let path = dir.create().join("codes.sst");
+        let meta = write_sstable(
+            1,
+            &path,
+            sample_entries(400).into_iter(),
+            &cfg(512, BlockCodec::Dict),
+        )
+        .unwrap();
+        assert!(SstReader::open(meta.clone())
+            .unwrap()
+            .codec_state
+            .has_huffman_codes());
+        let good = std::fs::read(&path).unwrap();
+        let footer = &good[good.len() - FOOTER_LEN..];
+        let dict_off = u64::from_le_bytes(footer[0..8].try_into().unwrap()) as usize;
+        // Byte 0 flags the codes; the first class's lengths follow.
+        for damage in [0x00u8, 0x11] {
+            let mut bytes = good.clone();
+            bytes[dict_off + 1..dict_off + 1 + 128].fill(damage);
+            std::fs::write(&path, &bytes).unwrap();
+            assert!(matches!(
+                SstReader::open(meta.clone()),
+                Err(Error::Corruption(_))
+            ));
         }
     }
 
