@@ -10,9 +10,6 @@
 //! * [`coalesce`] — per-key write queues with write coalescing: multiple
 //!   in-flight writes to one key collapse into the final value (the
 //!   group-commit analog used by write-through, §4.1.1).
-//! * [`tempbuf`] — the temporary update buffer: updates stage per
-//!   connection and only reach the main cache when the storage write
-//!   succeeds (write-through failure atomicity).
 //! * [`replica`] — master→replica replication of cache contents and
 //!   dirty data (write-back reliability, §4.1.2).
 
@@ -21,11 +18,9 @@ pub mod coalesce;
 pub mod lru;
 pub mod replica;
 pub mod snapshot;
-pub mod tempbuf;
 
 pub use cache::{CacheConfig, CacheStats, Lookup, ShardedCache};
 pub use coalesce::WriteCoalescer;
 pub use lru::{CacheEntry, LruShard};
 pub use replica::{ReplicatedCache, ReplicationMode};
 pub use snapshot::{load_snapshot, write_snapshot};
-pub use tempbuf::TempUpdateBuffer;

@@ -36,15 +36,12 @@
 
 use crate::dict::train_dictionary;
 use crate::huffman::{HuffmanCode, CODE_BYTES};
-use crate::lz::{
-    for_each_token_piece, read_varint, split_tokens, write_varint, LzScratch, TrainedDict,
-    TOKEN_CLASSES,
-};
+use crate::lz::{for_each_token_piece, split_tokens, LzScratch, TrainedDict, TOKEN_CLASSES};
 use crate::pbc::{Pbc, PbcConfig, PbcModel};
 use crate::{Compressor, Tzstd, TzstdLevel};
 use std::cell::RefCell;
 use std::sync::Arc;
-use tb_common::{crc32, Error, Result};
+use tb_common::{crc32, read_varint, write_varint, Error, Result};
 
 /// `codec_tag u8 | uncompressed_len u32 | crc32 u32`.
 pub const FRAME_HEADER_LEN: usize = 1 + 4 + 4;

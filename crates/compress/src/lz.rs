@@ -25,7 +25,7 @@
 
 use crate::Compressor;
 use std::sync::Arc;
-use tb_common::{Error, Result};
+use tb_common::{read_varint, write_varint, Error, Result};
 
 /// Minimum match length worth encoding.
 const MIN_MATCH: usize = 4;
@@ -731,39 +731,6 @@ impl Compressor for Tzstd {
             "tzstd-d"
         } else {
             "tzstd"
-        }
-    }
-}
-
-/// LEB128 varint encode.
-pub(crate) fn write_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let b = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(b);
-            return;
-        }
-        out.push(b | 0x80);
-    }
-}
-
-/// LEB128 varint decode.
-pub(crate) fn read_varint(buf: &[u8], pos: &mut usize) -> Result<u64> {
-    let mut v = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let b = *buf
-            .get(*pos)
-            .ok_or_else(|| Error::Corruption("varint truncated".into()))?;
-        *pos += 1;
-        v |= ((b & 0x7f) as u64) << shift;
-        if b & 0x80 == 0 {
-            return Ok(v);
-        }
-        shift += 7;
-        if shift > 63 {
-            return Err(Error::Corruption("varint too long".into()));
         }
     }
 }

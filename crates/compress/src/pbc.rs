@@ -21,11 +21,11 @@
 //! gaps from the payload — which is why PBC GET throughput approaches raw
 //! (Table 2).
 
-use crate::lz::{read_varint, write_varint, TrainedDict, Tzstd, TzstdLevel};
+use crate::lz::{TrainedDict, Tzstd, TzstdLevel};
 use crate::Compressor;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use tb_common::{Error, Result};
+use tb_common::{read_varint, write_varint, Error, Result};
 
 /// Record tag: tzstd fallback (no pattern matched).
 const TAG_FALLBACK: u8 = 0;

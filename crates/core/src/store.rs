@@ -13,7 +13,7 @@ use tb_common::{
     Value,
 };
 use tb_compress::{CompressorChoice, PretrainedCompression, TzstdLevel};
-use tb_elastic::ElasticGate;
+use tb_elastic::{ElasticConfig, ElasticGate};
 use tb_lsm::{DisaggregatedStore, LsmConfig, LsmDb, NetworkModel};
 use tb_pmem::{
     DramOnly, LatencyModel, PersistentRingBuffer, PmemDevice, RingConfig, SplitPlacement,
@@ -213,8 +213,9 @@ impl TierBase {
         // Threading model: operations execute in the caller's thread
         // but must hold one of the gate's permits — 1 permit is the
         // single-threaded event loop, N permits the multi-thread mode,
-        // and elastic mode moves the permit count with load.
-        let gate = ElasticGate::for_mode(config.threading, Default::default());
+        // and elastic mode moves the permit count with the number of
+        // callers blocked on a permit.
+        let gate = ElasticGate::for_mode(config.threading, ElasticConfig::for_gate());
         let intervals = AccessIntervalTracker::new(config.clock.clone());
 
         let stats = Arc::new(TierBaseStats::default());

@@ -4,22 +4,28 @@
 //! single-threaded execution is the most CPU-efficient mode (no locking,
 //! no cross-core traffic), which is why it is the default. Containers,
 //! however, are provisioned for *peak* CPU, so idle cores usually exist
-//! next to a hot shard. The elastic runtime watches its own request
-//! queue and, when depth stays above a boost watermark, wakes additional
-//! RPC threads within the container's core budget; when the burst
-//! subsides the extra threads park again and the node returns to
-//! single-thread efficiency. No external scaling, no extra cost.
+//! next to a hot shard. Elastic threading watches how much work is
+//! queued and, while it stays above a boost watermark, adds threads
+//! within the container's core budget; when the burst subsides the extra
+//! threads retire and the node returns to single-thread efficiency. No
+//! external scaling, no extra cost.
+//!
+//! The policy lives in one place, [`Watermark::step`]. Two levers drive
+//! it:
+//!
+//! * [`ElasticGate`] — the `TierBase` thread modes (Fig 7/9): callers
+//!   run in place once they hold a permit, and the controller moves the
+//!   permit count with the number of blocked callers.
+//! * `tb-frontend`'s shard controller — per-shard drain workers, moved
+//!   with each shard's queue depth.
 
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-type Task = Box<dyn FnOnce() + Send + 'static>;
-
-/// Threading mode a runtime is pinned to, or elastic switching.
+/// Threading mode a gate is pinned to, or elastic switching.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ThreadMode {
     /// One event-loop thread, never boosted (TierBase-s).
@@ -33,9 +39,9 @@ pub enum ThreadMode {
 /// Watermarks and pacing for elastic switching.
 #[derive(Debug, Clone)]
 pub struct ElasticConfig {
-    /// Queue depth that triggers a boost.
+    /// Load (queued work) that triggers a boost.
     pub boost_depth: usize,
-    /// Queue depth below which boosted threads retire.
+    /// Load at or below which a sample counts as calm.
     pub shrink_depth: usize,
     /// Controller sampling interval.
     pub sample_interval: Duration,
@@ -54,7 +60,57 @@ impl Default for ElasticConfig {
     }
 }
 
-/// Runtime counters.
+impl ElasticConfig {
+    /// Watermarks for an [`ElasticGate`], whose load is the number of
+    /// callers blocked on a permit: two or more waiting means the
+    /// permits are saturated (boost), none waiting is calm.
+    pub fn for_gate() -> Self {
+        Self {
+            boost_depth: 2,
+            shrink_depth: 0,
+            ..Self::default()
+        }
+    }
+}
+
+/// The §4.4 watermark policy for one lever: boost by one per hot
+/// sample up to `max`, shrink by one after `shrink_patience`
+/// consecutive calm samples, and restart the calm count on any other
+/// sample. Holds only that calm count; the caller owns the target and
+/// acts on changes to it.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct Watermark {
+    calm: u32,
+}
+
+impl Watermark {
+    /// The next target given one `load` sample. Never returns less than
+    /// 1, and never boosts past `max`.
+    pub fn step(
+        &mut self,
+        config: &ElasticConfig,
+        load: usize,
+        target: usize,
+        max: usize,
+    ) -> usize {
+        if load >= config.boost_depth && target < max {
+            self.calm = 0;
+            target + 1
+        } else if load <= config.shrink_depth && target > 1 {
+            self.calm += 1;
+            if self.calm < config.shrink_patience {
+                return target;
+            }
+            self.calm = 0;
+            target - 1
+        } else {
+            self.calm = 0;
+            target
+        }
+    }
+}
+
+/// Gate counters.
 #[derive(Debug, Default)]
 pub struct RuntimeStats {
     pub processed: AtomicU64,
@@ -62,308 +118,11 @@ pub struct RuntimeStats {
     pub shrinks: AtomicU64,
 }
 
-/// A work queue with elastic worker threads.
-pub struct ElasticRuntime {
-    tx: Sender<Task>,
-    rx: Receiver<Task>,
-    /// Worker threads currently allowed to run (the target).
-    target_threads: AtomicUsize,
-    /// Worker threads currently alive.
-    live_threads: AtomicUsize,
-    max_threads: usize,
-    shutdown: AtomicBool,
-    handles: Mutex<Vec<JoinHandle<()>>>,
-    controller: Mutex<Option<JoinHandle<()>>>,
-    pub stats: RuntimeStats,
-}
-
-impl ElasticRuntime {
-    /// Builds a runtime in the given mode. Elastic mode also starts the
-    /// watermark controller.
-    pub fn new(mode: ThreadMode, config: ElasticConfig) -> Arc<Self> {
-        let (tx, rx) = bounded::<Task>(1 << 16);
-        let (initial, max) = match mode {
-            ThreadMode::Single => (1, 1),
-            ThreadMode::Multi(n) => (n.max(1), n.max(1)),
-            ThreadMode::Elastic(n) => (1, n.max(1)),
-        };
-        let rt = Arc::new(Self {
-            tx,
-            rx,
-            target_threads: AtomicUsize::new(initial),
-            live_threads: AtomicUsize::new(0),
-            max_threads: max,
-            shutdown: AtomicBool::new(false),
-            handles: Mutex::new(Vec::new()),
-            controller: Mutex::new(None),
-            stats: RuntimeStats::default(),
-        });
-        for _ in 0..initial {
-            rt.spawn_worker();
-        }
-        if matches!(mode, ThreadMode::Elastic(_)) {
-            rt.spawn_controller(config);
-        }
-        rt
-    }
-
-    /// Convenience constructors mirroring the paper's labels.
-    pub fn single() -> Arc<Self> {
-        Self::new(ThreadMode::Single, ElasticConfig::default())
-    }
-
-    pub fn multi(n: usize) -> Arc<Self> {
-        Self::new(ThreadMode::Multi(n), ElasticConfig::default())
-    }
-
-    pub fn elastic(max: usize) -> Arc<Self> {
-        Self::new(ThreadMode::Elastic(max), ElasticConfig::default())
-    }
-
-    /// Enqueues a task for execution.
-    pub fn execute(&self, f: impl FnOnce() + Send + 'static) {
-        // Bounded channel: under extreme overload this blocks the
-        // producer, which is the correct backpressure for a data node.
-        let _ = self.tx.send(Box::new(f));
-    }
-
-    /// Runs a task to completion on the pool, returning its result.
-    pub fn run<T: Send + 'static>(&self, f: impl FnOnce() -> T + Send + 'static) -> T {
-        let (tx, rx) = bounded(1);
-        self.execute(move || {
-            let _ = tx.send(f());
-        });
-        rx.recv().expect("worker dropped result")
-    }
-
-    /// Current queue depth.
-    pub fn queue_depth(&self) -> usize {
-        self.rx.len()
-    }
-
-    /// Worker threads currently alive.
-    pub fn current_threads(&self) -> usize {
-        self.live_threads.load(Ordering::Relaxed)
-    }
-
-    /// Stops all workers after the queue drains.
-    pub fn shutdown(&self) {
-        // Wait for queued work, then stop.
-        while !self.rx.is_empty() {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        self.shutdown.store(true, Ordering::SeqCst);
-        if let Some(c) = self.controller.lock().take() {
-            let _ = c.join();
-        }
-        let handles: Vec<JoinHandle<()>> = std::mem::take(&mut self.handles.lock());
-        for h in handles {
-            let _ = h.join();
-        }
-    }
-
-    fn spawn_worker(self: &Arc<Self>) {
-        let rt = self.clone();
-        rt.live_threads.fetch_add(1, Ordering::SeqCst);
-        let rt2 = rt.clone();
-        let handle = std::thread::spawn(move || rt2.worker_loop());
-        self.handles.lock().push(handle);
-    }
-
-    fn worker_loop(self: Arc<Self>) {
-        loop {
-            if self.shutdown.load(Ordering::SeqCst) {
-                break;
-            }
-            // Retire when above target (elastic shrink). The first
-            // worker (the event loop) never retires because target >= 1.
-            let live = self.live_threads.load(Ordering::SeqCst);
-            if live > self.target_threads.load(Ordering::SeqCst)
-                && self
-                    .live_threads
-                    .compare_exchange(live, live - 1, Ordering::SeqCst, Ordering::SeqCst)
-                    .is_ok()
-            {
-                return;
-            }
-            match self.rx.recv_timeout(Duration::from_millis(5)) {
-                Ok(task) => {
-                    task();
-                    self.stats.processed.fetch_add(1, Ordering::Relaxed);
-                }
-                Err(RecvTimeoutError::Timeout) => continue,
-                Err(RecvTimeoutError::Disconnected) => break,
-            }
-        }
-        self.live_threads.fetch_sub(1, Ordering::SeqCst);
-    }
-
-    fn spawn_controller(self: &Arc<Self>, config: ElasticConfig) {
-        let rt = self.clone();
-        let handle = std::thread::spawn(move || {
-            let mut calm_samples = 0u32;
-            while !rt.shutdown.load(Ordering::SeqCst) {
-                std::thread::sleep(config.sample_interval);
-                let depth = rt.queue_depth();
-                let target = rt.target_threads.load(Ordering::SeqCst);
-                if depth >= config.boost_depth && target < rt.max_threads {
-                    // Boost: add a thread per hot sample until max.
-                    rt.target_threads.store(target + 1, Ordering::SeqCst);
-                    rt.spawn_worker();
-                    rt.stats.boosts.fetch_add(1, Ordering::Relaxed);
-                    calm_samples = 0;
-                } else if depth <= config.shrink_depth && target > 1 {
-                    calm_samples += 1;
-                    if calm_samples >= config.shrink_patience {
-                        rt.target_threads.store(target - 1, Ordering::SeqCst);
-                        rt.stats.shrinks.fetch_add(1, Ordering::Relaxed);
-                        calm_samples = 0;
-                    }
-                } else {
-                    calm_samples = 0;
-                }
-            }
-        });
-        *self.controller.lock() = Some(handle);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn spin_us(us: u64) {
-        let deadline = std::time::Instant::now() + Duration::from_micros(us);
-        while std::time::Instant::now() < deadline {
-            std::hint::spin_loop();
-        }
-    }
-
-    #[test]
-    fn single_mode_processes_everything_in_order_per_thread() {
-        let rt = ElasticRuntime::single();
-        let counter = Arc::new(AtomicU64::new(0));
-        for _ in 0..1000 {
-            let c = counter.clone();
-            rt.execute(move || {
-                c.fetch_add(1, Ordering::Relaxed);
-            });
-        }
-        rt.shutdown();
-        assert_eq!(counter.load(Ordering::Relaxed), 1000);
-        assert_eq!(rt.stats.processed.load(Ordering::Relaxed), 1000);
-    }
-
-    #[test]
-    fn run_returns_result() {
-        let rt = ElasticRuntime::single();
-        let out = rt.run(|| 21 * 2);
-        assert_eq!(out, 42);
-        rt.shutdown();
-    }
-
-    #[test]
-    fn multi_mode_starts_n_threads() {
-        let rt = ElasticRuntime::multi(4);
-        assert_eq!(rt.current_threads(), 4);
-        rt.shutdown();
-        assert_eq!(rt.current_threads(), 0);
-    }
-
-    #[test]
-    fn elastic_starts_single() {
-        let rt = ElasticRuntime::elastic(4);
-        assert_eq!(rt.current_threads(), 1);
-        rt.shutdown();
-    }
-
-    #[test]
-    fn elastic_boosts_under_load_and_shrinks_after() {
-        let config = ElasticConfig {
-            boost_depth: 16,
-            shrink_depth: 2,
-            sample_interval: Duration::from_millis(1),
-            shrink_patience: 3,
-        };
-        let rt = ElasticRuntime::new(ThreadMode::Elastic(4), config);
-        // Flood with slow tasks to hold queue depth high.
-        for _ in 0..3000 {
-            rt.execute(|| spin_us(100));
-        }
-        // Wait for the controller to react and the queue to drain.
-        let deadline = std::time::Instant::now() + Duration::from_secs(30);
-        let mut peak = 1;
-        while rt.queue_depth() > 0 && std::time::Instant::now() < deadline {
-            peak = peak.max(rt.current_threads());
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        assert!(peak > 1, "runtime never boosted (peak {peak})");
-        assert!(rt.stats.boosts.load(Ordering::Relaxed) > 0);
-        // Calm period → shrink back toward 1.
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while rt.current_threads() > 1 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert_eq!(rt.current_threads(), 1, "runtime never shrank back");
-        assert!(rt.stats.shrinks.load(Ordering::Relaxed) > 0);
-        rt.shutdown();
-    }
-
-    #[test]
-    fn multi_mode_outruns_single_on_parallel_work() {
-        // 400 tasks of ~200µs of CPU each: single ≈ 80ms serial floor,
-        // multi(4) should finish in well under half that.
-        let run = |rt: Arc<ElasticRuntime>| {
-            let t0 = std::time::Instant::now();
-            let done = Arc::new(AtomicU64::new(0));
-            for _ in 0..400 {
-                let d = done.clone();
-                rt.execute(move || {
-                    spin_us(200);
-                    d.fetch_add(1, Ordering::Relaxed);
-                });
-            }
-            while done.load(Ordering::Relaxed) < 400 {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            let dt = t0.elapsed();
-            rt.shutdown();
-            dt
-        };
-        let single = run(ElasticRuntime::single());
-        let multi = run(ElasticRuntime::multi(4));
-        assert!(
-            multi < single,
-            "multi ({multi:?}) should beat single ({single:?})"
-        );
-    }
-
-    #[test]
-    fn shutdown_drains_queue_first() {
-        let rt = ElasticRuntime::single();
-        let counter = Arc::new(AtomicU64::new(0));
-        for _ in 0..200 {
-            let c = counter.clone();
-            rt.execute(move || {
-                spin_us(50);
-                c.fetch_add(1, Ordering::Relaxed);
-            });
-        }
-        rt.shutdown();
-        assert_eq!(counter.load(Ordering::Relaxed), 200);
-    }
-}
-
-// ---------------------------------------------------------------------
-// ElasticGate: permit-limited direct execution
-// ---------------------------------------------------------------------
-
 /// A concurrency gate modeling the container's CPU allocation without
 /// queue hops: callers execute *in place* once they hold one of the
 /// gate's permits. `Single` = 1 permit (the event loop), `Multi(n)` =
 /// n permits (fixed threads), `Elastic(n)` = 1..n permits adjusted by a
-/// watermark controller that watches how many callers are blocked — the
-/// same §4.4 policy as [`ElasticRuntime`], at direct-call cost.
+/// watermark controller that watches how many callers are blocked.
 pub struct ElasticGate {
     state: Mutex<GateState>,
     cv: parking_lot::Condvar,
@@ -382,29 +141,22 @@ struct GateState {
     waiting: usize,
 }
 
+/// A held permit; dropping it (also during a panic unwind) hands the
+/// permit back and wakes one waiter.
+struct Permit<'g>(&'g ElasticGate);
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        self.0.state.lock().in_use -= 1;
+        self.0.cv.notify_one();
+    }
+}
+
 impl ElasticGate {
-    /// A gate with a fixed permit count (Single = 1, Multi(n) = n).
-    pub fn fixed(permits: usize) -> Arc<Self> {
+    fn with_permits(target: usize, max: usize) -> Arc<Self> {
         Arc::new(Self {
             state: Mutex::new(GateState {
-                target: permits.max(1),
-                in_use: 0,
-                waiting: 0,
-            }),
-            cv: parking_lot::Condvar::new(),
-            max_permits: permits.max(1),
-            shutdown: AtomicBool::new(false),
-            controller: Mutex::new(None),
-            stats: RuntimeStats::default(),
-        })
-    }
-
-    /// An elastic gate: starts at one permit, boosts toward `max` while
-    /// callers queue up, shrinks back when the burst subsides.
-    pub fn elastic(max: usize, config: ElasticConfig) -> Arc<Self> {
-        let gate = Arc::new(Self {
-            state: Mutex::new(GateState {
-                target: 1,
+                target,
                 in_use: 0,
                 waiting: 0,
             }),
@@ -413,7 +165,18 @@ impl ElasticGate {
             shutdown: AtomicBool::new(false),
             controller: Mutex::new(None),
             stats: RuntimeStats::default(),
-        });
+        })
+    }
+
+    /// A gate with a fixed permit count (Single = 1, Multi(n) = n).
+    pub fn fixed(permits: usize) -> Arc<Self> {
+        Self::with_permits(permits.max(1), permits)
+    }
+
+    /// An elastic gate: starts at one permit, boosts toward `max` while
+    /// callers queue up, shrinks back when the burst subsides.
+    pub fn elastic(max: usize, config: ElasticConfig) -> Arc<Self> {
+        let gate = Self::with_permits(1, max);
         gate.spawn_controller(config);
         gate
     }
@@ -427,9 +190,10 @@ impl ElasticGate {
         }
     }
 
-    /// Runs `f` while holding a permit.
+    /// Runs `f` while holding a permit. A panic in `f` still releases
+    /// the permit.
     pub fn run<T>(&self, f: impl FnOnce() -> T) -> T {
-        {
+        let _permit = {
             let mut s = self.state.lock();
             while s.in_use >= s.target {
                 s.waiting += 1;
@@ -437,13 +201,9 @@ impl ElasticGate {
                 s.waiting -= 1;
             }
             s.in_use += 1;
-        }
+            Permit(self)
+        };
         let out = f();
-        {
-            let mut s = self.state.lock();
-            s.in_use -= 1;
-        }
-        self.cv.notify_one();
         self.stats.processed.fetch_add(1, Ordering::Relaxed);
         out
     }
@@ -453,12 +213,8 @@ impl ElasticGate {
         self.state.lock().target
     }
 
-    /// Callers blocked right now (the controller's load signal).
-    pub fn waiting(&self) -> usize {
-        self.state.lock().waiting
-    }
-
-    /// Stops the controller thread (fixed gates: no-op).
+    /// Stops the controller thread (fixed gates: no-op). Dropping the
+    /// last handle to the gate stops it too.
     pub fn shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
         if let Some(c) = self.controller.lock().take() {
@@ -466,29 +222,28 @@ impl ElasticGate {
         }
     }
 
+    /// The controller holds the gate weakly, so it never keeps a gate
+    /// alive that every caller has dropped.
     fn spawn_controller(self: &Arc<Self>, config: ElasticConfig) {
-        let gate = self.clone();
+        let weak = Arc::downgrade(self);
         let handle = std::thread::spawn(move || {
-            let mut calm = 0u32;
-            while !gate.shutdown.load(Ordering::SeqCst) {
+            let mut watermark = Watermark::default();
+            loop {
                 std::thread::sleep(config.sample_interval);
+                let Some(gate) = weak.upgrade() else { return };
+                if gate.shutdown.load(Ordering::SeqCst) {
+                    return;
+                }
                 let mut s = gate.state.lock();
-                // Waiting callers = saturated permits = boost signal.
-                if s.waiting >= 2 && s.target < gate.max_permits {
-                    s.target += 1;
-                    gate.stats.boosts.fetch_add(1, Ordering::Relaxed);
-                    calm = 0;
+                let next = watermark.step(&config, s.waiting, s.target, gate.max_permits);
+                if next > s.target {
+                    s.target = next;
                     drop(s);
+                    gate.stats.boosts.fetch_add(1, Ordering::Relaxed);
                     gate.cv.notify_all();
-                } else if s.waiting == 0 && s.target > 1 {
-                    calm += 1;
-                    if calm >= config.shrink_patience {
-                        s.target -= 1;
-                        gate.stats.shrinks.fetch_add(1, Ordering::Relaxed);
-                        calm = 0;
-                    }
-                } else {
-                    calm = 0;
+                } else if next < s.target {
+                    s.target = next;
+                    gate.stats.shrinks.fetch_add(1, Ordering::Relaxed);
                 }
             }
         });
@@ -497,17 +252,22 @@ impl ElasticGate {
 }
 
 impl Drop for ElasticGate {
+    /// Joins the controller, which exits at its next sample now that the
+    /// gate is gone — unless the controller itself dropped the last
+    /// handle, in which case it is already on its way out.
     fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
         if let Some(c) = self.controller.get_mut().take() {
-            let _ = c.join();
+            if c.thread().id() != std::thread::current().id() {
+                let _ = c.join();
+            }
         }
     }
 }
 
 #[cfg(test)]
-mod gate_tests {
+mod tests {
     use super::*;
+    use std::sync::atomic::AtomicUsize;
     use std::time::Instant;
 
     fn spin_us(us: u64) {
@@ -515,6 +275,61 @@ mod gate_tests {
         while Instant::now() < deadline {
             std::hint::spin_loop();
         }
+    }
+
+    #[test]
+    fn watermark_step_boosts_caps_and_shrinks_only_after_patience() {
+        let config = ElasticConfig {
+            boost_depth: 10,
+            shrink_depth: 2,
+            sample_interval: Duration::ZERO,
+            shrink_patience: 3,
+        };
+        let mut w = Watermark::default();
+        // One boost per hot sample, capped at max.
+        assert_eq!(w.step(&config, 10, 1, 3), 2);
+        assert_eq!(w.step(&config, 50, 2, 3), 3);
+        assert_eq!(w.step(&config, 50, 3, 3), 3);
+        // Calm samples shrink only after `shrink_patience` in a row.
+        assert_eq!(w.step(&config, 2, 3, 3), 3);
+        assert_eq!(w.step(&config, 0, 3, 3), 3);
+        assert_eq!(w.step(&config, 0, 3, 3), 2);
+        // The count restarted with the shrink: three more calm samples.
+        assert_eq!(w.step(&config, 0, 2, 3), 2);
+        assert_eq!(w.step(&config, 0, 2, 3), 2);
+        // A mid-band sample resets the calm count...
+        assert_eq!(w.step(&config, 5, 2, 3), 2);
+        assert_eq!(w.step(&config, 0, 2, 3), 2);
+        assert_eq!(w.step(&config, 0, 2, 3), 2);
+        assert_eq!(w.step(&config, 0, 2, 3), 1);
+        // ...and so does a hot sample, even one that cannot boost.
+        let mut w = Watermark::default();
+        assert_eq!(w.step(&config, 0, 3, 3), 3);
+        assert_eq!(w.step(&config, 0, 3, 3), 3);
+        assert_eq!(w.step(&config, 99, 3, 3), 3);
+        assert_eq!(w.step(&config, 0, 3, 3), 3);
+        assert_eq!(w.step(&config, 0, 3, 3), 3);
+        assert_eq!(w.step(&config, 0, 3, 3), 2);
+        // The target never drops below 1, however long the calm.
+        let mut w = Watermark::default();
+        for _ in 0..20 {
+            assert_eq!(w.step(&config, 0, 1, 3), 1);
+        }
+        let impatient = ElasticConfig {
+            shrink_patience: 0,
+            ..config
+        };
+        assert_eq!(w.step(&impatient, 0, 1, 3), 1);
+        assert_eq!(w.step(&impatient, 0, 2, 3), 1);
+        // The gate's watermarks: two blocked callers boost, none is calm.
+        let gate = ElasticConfig::for_gate();
+        let mut w = Watermark::default();
+        assert_eq!(w.step(&gate, 1, 1, 4), 1, "one waiter is not a boost");
+        assert_eq!(w.step(&gate, 2, 1, 4), 2, "two waiters boost");
+        for _ in 1..gate.shrink_patience {
+            assert_eq!(w.step(&gate, 0, 2, 4), 2);
+        }
+        assert_eq!(w.step(&gate, 0, 2, 4), 1);
     }
 
     #[test]
@@ -570,9 +385,45 @@ mod gate_tests {
     }
 
     #[test]
+    fn panicking_caller_releases_its_permit() {
+        let gate = ElasticGate::fixed(1);
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            gate.run(|| panic!("engine call panicked"))
+        }));
+        assert!(panicked.is_err());
+        // A leaked permit would block this caller forever; run it on a
+        // helper thread so the test fails by timeout instead of hanging.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let g = gate.clone();
+        std::thread::spawn(move || {
+            let _ = tx.send(g.run(|| 7));
+        });
+        assert_eq!(
+            rx.recv_timeout(Duration::from_secs(5)),
+            Ok(7),
+            "the panicked caller's permit was never released"
+        );
+    }
+
+    #[test]
+    fn dropped_elastic_gate_is_freed() {
+        let gate = ElasticGate::elastic(4, ElasticConfig::for_gate());
+        let weak = Arc::downgrade(&gate);
+        drop(gate);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while weak.upgrade().is_some() && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(
+            weak.upgrade().is_none(),
+            "the controller keeps the gate alive"
+        );
+    }
+
+    #[test]
     fn elastic_gate_boosts_and_shrinks() {
         let config = ElasticConfig {
-            boost_depth: 0, // unused by the gate
+            boost_depth: 2,
             shrink_depth: 0,
             sample_interval: Duration::from_millis(1),
             shrink_patience: 5,

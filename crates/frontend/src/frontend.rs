@@ -38,7 +38,7 @@ use std::time::{Duration, Instant};
 use tb_common::{
     slot_for_key, BatchReadStats, EngineOp, Error, Key, KvEngine, Lsn, OpOutcome, Result, Value,
 };
-use tb_elastic::ElasticConfig;
+use tb_elastic::{ElasticConfig, Watermark};
 
 /// How long an idle worker parks between queue polls.
 const DRAIN_WAIT: Duration = Duration::from_millis(5);
@@ -687,26 +687,18 @@ fn process_batch_per_op(inner: &Inner, batch: Vec<Queued>, settled: &AtomicU64) 
 fn controller_loop(inner: Arc<Inner>) {
     let config = &inner.config.elastic;
     let max = inner.config.max_workers_per_shard;
-    let mut calm = vec![0u32; inner.shards.len()];
+    let mut watermarks = vec![Watermark::default(); inner.shards.len()];
     while !inner.shutdown.load(Ordering::SeqCst) {
         std::thread::sleep(config.sample_interval);
-        for (i, shard) in inner.shards.iter().enumerate() {
-            let depth = shard.queue.len();
+        for (i, (shard, watermark)) in inner.shards.iter().zip(&mut watermarks).enumerate() {
             let target = shard.target_workers.load(Ordering::SeqCst);
-            if depth >= config.boost_depth && target < max {
-                shard.target_workers.store(target + 1, Ordering::SeqCst);
+            let next = watermark.step(config, shard.queue.len(), target, max);
+            shard.target_workers.store(next, Ordering::SeqCst);
+            if next > target {
                 spawn_worker(&inner, i);
                 FrontendStats::bump(&inner.stats.boosts, 1);
-                calm[i] = 0;
-            } else if depth <= config.shrink_depth && target > 1 {
-                calm[i] += 1;
-                if calm[i] >= config.shrink_patience {
-                    shard.target_workers.store(target - 1, Ordering::SeqCst);
-                    FrontendStats::bump(&inner.stats.shrinks, 1);
-                    calm[i] = 0;
-                }
-            } else {
-                calm[i] = 0;
+            } else if next < target {
+                FrontendStats::bump(&inner.stats.shrinks, 1);
             }
         }
     }
